@@ -29,7 +29,6 @@ from .exact_linalg import (
     IntMatrix,
     bareiss_det,
     cofactor_det,
-    matpoly_eval,
     sylvester_matrix,
 )
 from .graphs import Graph, adjacency_matrix, box_product, path
@@ -63,7 +62,6 @@ __all__ = [
     "det_direct",
     "det_resultant",
     "identity_suite",
-    "matpoly_eval",
     "parity",
     "path",
     "path_charpoly",

@@ -378,7 +378,7 @@ def _bench_rows(
                 continue
             fn = {
                 "direct": lambda: det_direct(n, m, ceiling),
-                "block": lambda: det_block(n, m),
+                "block": lambda: det_block(n, m, block_ceiling),
                 "resultant": lambda: det_resultant(n, m),
                 "closed": lambda: det_closed_form(n, m),
             }[name]

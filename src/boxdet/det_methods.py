@@ -6,7 +6,10 @@ The routes, for the grid graph P_n box P_m:
 * direct: assemble the nm x nm adjacency matrix, Bareiss-eliminate.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
-  adjacency matrix over the ring generated by B.
+  adjacency matrix over the ring generated by B.  q_n(-B) comes from the
+  matrix form of the path recurrence, Q_k = B Q_{k-1} - Q_{k-2}, run for
+  n mod 2(m+1) steps: Q_m = 0 (Cayley-Hamilton plus parity) and the shift
+  identity Q_{m+j} = -Q_{m-j} make the sequence periodic.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.
@@ -21,8 +24,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import add, sub
 
-from .exact_linalg import bareiss_det, matpoly_eval
+from .exact_linalg import IntMatrix, bareiss_det
 from .graphs import adjacency_matrix, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
@@ -127,12 +131,36 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     return bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
 
 
-def det_block(n: int, m: int) -> int:
+def block_matrix(n: int, m: int) -> IntMatrix:
+    """q_n(-B) for the m-path adjacency matrix B, by Q_{-1} = 0, Q_0 = I and
+    Q_k = B Q_{k-1} - Q_{k-2}.
+
+    B is tridiagonal with unit off-diagonals, so row i of B Q is the sum of
+    rows i-1 and i+1 of Q: each step is O(m^2) additions.  Only
+    n mod 2(m+1) steps run, since the sequence has period 2(m+1).
+    """
+    zero = [0] * m
+    prev = [zero] * m
+    cur = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(n % (2 * (m + 1))):
+        padded = [zero, *cur, zero]
+        prev, cur = cur, [
+            list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
+            for i in range(m)
+        ]
+    return IntMatrix.from_rows(cur)
+
+
+def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     """Block reduction: determinant of q_n evaluated at minus the m-path
-    adjacency matrix, an m x m determinant after n-1 matrix products."""
+    adjacency matrix, an m x m determinant after at most 2m+1 recurrence
+    steps whatever n is."""
     _require_positive(n=n, m=m)
-    b = adjacency_matrix(path(m))
-    return bareiss_det(matpoly_eval(path_charpoly(n), -b))
+    if m > ceiling:
+        raise SizeLimitError(
+            f"path size {m} exceeds the block-method ceiling of {ceiling}"
+        )
+    return bareiss_det(block_matrix(n, m))
 
 
 def det_resultant(n: int, m: int) -> int:
@@ -194,7 +222,7 @@ def verify_all(
     if "direct" in methods and n * m <= ceiling:
         timed("direct", lambda: det_direct(n, m, ceiling))
     if "block" in methods and m <= block_ceiling:
-        timed("block", lambda: det_block(n, m))
+        timed("block", lambda: det_block(n, m, block_ceiling))
     if "resultant" in methods:
         timed("resultant", lambda: det_resultant(n, m))
 

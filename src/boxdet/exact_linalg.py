@@ -171,22 +171,6 @@ def _expand(rows: tuple[tuple[int, ...], ...]) -> int:
     return total
 
 
-def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:
-    """Evaluate an integer polynomial at a square integer matrix.
-
-    Horner's rule: deg(p) matrix multiplications, all exact.  The constant
-    term scales the identity (b**0 == I by convention).
-    """
-    n = b.size
-    if p.is_zero:
-        return IntMatrix.zeros(n)
-    eye = IntMatrix.identity(n)
-    result = eye * p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        result = result @ b + eye * c
-    return result
-
-
 def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
     """Sylvester matrix of f and g; its determinant equals resultant(f, g).
 

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the library paths it checks: the
 characteristic polynomial comes from cofactor expansion over
-polynomial-entry matrices, eigenvalues come from the known path-spectrum
-cosine formula, and random matrices are drawn from a seeded generator.
+polynomial-entry matrices, polynomials are evaluated at a matrix by Horner's
+rule over their coefficients (the check on the block method's matrix
+recurrence), eigenvalues come from the known path-spectrum cosine formula,
+and random matrices are drawn from a seeded generator.
 """
 from __future__ import annotations
 
@@ -43,6 +45,22 @@ def charpoly_by_cofactor(n: int) -> IntPoly:
         for i in range(n)
     ]
     return _poly_det(rows)
+
+
+def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:
+    """Evaluate an integer polynomial at a square integer matrix.
+
+    Horner's rule: deg(p) matrix multiplications, all exact.  The constant
+    term scales the identity (b**0 == I by convention).
+    """
+    n = b.size
+    if p.is_zero:
+        return IntMatrix.zeros(n)
+    eye = IntMatrix.identity(n)
+    result = eye * p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        result = result @ b + eye * c
+    return result
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:

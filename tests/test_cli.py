@@ -286,6 +286,14 @@ class TestBench:
         assert lines[1] == "50,60,direct,skipped (ceiling),,"
         assert lines[2].startswith("50,60,block,ok,1,")
 
+    def test_block_ceiling_is_passed_through(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "2x70", "--methods", "block",
+            "--block-ceiling", "80",
+        )
+        assert code == 0
+        assert out.strip().split("\n")[1].startswith("2,70,block,ok,1,")
+
     def test_empty_sizes(self, capsys):
         code, out, _ = run_cli(capsys, "bench")
         assert code == 0

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import grid_eigenvalue_product
+from _oracles import grid_eigenvalue_product, matpoly_eval
 from boxdet.det_methods import (
     DetReport,
     IdentityReport,
     SizeLimitError,
+    block_matrix,
     check_annihilation,
     check_power,
     check_product_n_plus_1,
@@ -23,7 +27,7 @@ from boxdet.det_methods import (
     identity_suite,
     verify_all,
 )
-from boxdet.exact_linalg import bareiss_det, matpoly_eval
+from boxdet.exact_linalg import bareiss_det
 from boxdet.graphs import adjacency_matrix, box_product, path
 from boxdet.polynomials import ONE, path_charpoly
 
@@ -70,6 +74,37 @@ class TestCeiling:
 
     def test_size_limit_is_a_value_error(self):
         assert issubclass(SizeLimitError, ValueError)
+
+    def test_block_default_ceiling_names_the_limit(self):
+        with pytest.raises(SizeLimitError, match="60"):
+            det_block(1, 61)
+        assert det_block(1, 60) == det_closed_form(1, 60)
+
+    def test_block_custom_ceiling(self):
+        with pytest.raises(SizeLimitError, match="3"):
+            det_block(2, 4, ceiling=3)
+        assert det_block(1, 61, ceiling=61) == det_closed_form(1, 61)
+
+
+class TestBlockRecurrence:
+    def test_matches_horner_through_two_periods(self):
+        """n runs over two full periods 2(m+1), so the reduced step count
+        n mod 2(m+1) is checked on both sides of every wrap, 0 included."""
+        for m in range(1, 13):
+            minus_b = -adjacency_matrix(path(m))
+            for n in range(1, 4 * (m + 1)):
+                horner = matpoly_eval(path_charpoly(n), minus_b)
+                assert block_matrix(n, m) == horner, (n, m)
+                assert det_block(n, m) == bareiss_det(horner), (n, m)
+
+    @given(st.integers(1, 10**12), st.integers(1, 20))
+    def test_agrees_with_closed_form_at_any_n(self, n, m):
+        assert det_block(n, m) == det_closed_form(n, m)
+
+    def test_cost_does_not_grow_with_n(self):
+        start = time.perf_counter()
+        assert det_block(10**12, 40) == det_closed_form(10**12, 40) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAgreement:
@@ -160,6 +195,10 @@ class TestVerifyAll:
         report = verify_all(2, 3, block_ceiling=2)
         assert report.block is None
         assert report.direct == report.resultant == report.closed_form == -1
+
+    def test_block_ceiling_reaches_det_block(self):
+        report = verify_all(1, 70, block_ceiling=80)
+        assert report.block == report.closed_form == -1
 
     def test_methods_filter(self):
         report = verify_all(4, 4, methods={"closed_form"})

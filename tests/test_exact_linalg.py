@@ -1,4 +1,4 @@
-"""Exact matrix layer: Bareiss vs cofactor, polynomial evaluation, Sylvester."""
+"""Exact matrix layer: Bareiss vs cofactor, the Horner oracle, Sylvester."""
 from __future__ import annotations
 
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import random_matrix
+from _oracles import matpoly_eval, random_matrix
 from boxdet.exact_linalg import (
     COFACTOR_SIZE_LIMIT,
     IntMatrix,
@@ -15,7 +15,6 @@ from boxdet.exact_linalg import (
     cofactor_det,
     matrix_from_json,
     matrix_to_json,
-    matpoly_eval,
     sylvester_matrix,
 )
 from boxdet.graphs import adjacency_matrix, box_product, path
