@@ -3,13 +3,16 @@ algebraic identity suite that justifies them.
 
 The routes, for the grid graph P_n box P_m:
 
-* direct: assemble the nm x nm adjacency matrix, Bareiss-eliminate.
+* direct: assemble the nm x nm adjacency matrix with the shorter path
+  varying fastest, so its bandwidth is min(n, m), and Bareiss-eliminate
+  inside that band, about nm * min(n, m)**2 steps.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) comes from the
   matrix form of the path recurrence, Q_k = B Q_{k-1} - Q_{k-2}, run for
-  n mod 2(m+1) steps: Q_m = 0 (Cayley-Hamilton plus parity) and the shift
-  identity Q_{m+j} = -Q_{m-j} make the sequence periodic.
+  at most m steps: Q_m = 0 (Cayley-Hamilton plus parity) and the shift
+  identity Q_{m+j} = -Q_{m-j} make the sequence periodic with period
+  2(m+1) and fold its second half onto the first.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.
@@ -122,13 +125,21 @@ class IdentityReport:
 
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
-    """Bareiss determinant of the literally assembled grid adjacency matrix."""
+    """Bareiss determinant of the literally assembled grid adjacency matrix.
+
+    The longer path is the outer factor, so vertex (i, j) of the grid gets
+    label (i-1)*min(n, m) + j and the matrix has bandwidth min(n, m), which
+    banded elimination exploits.  Swapping the factors only relabels
+    vertices, a permutation similarity, so the determinant is unchanged.
+    """
     _require_positive(n=n, m=m)
     if n * m > ceiling:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    return bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
+    return bareiss_det(
+        adjacency_matrix(box_product(path(max(n, m)), path(min(n, m))))
+    )
 
 
 def block_matrix(n: int, m: int) -> IntMatrix:
@@ -136,24 +147,30 @@ def block_matrix(n: int, m: int) -> IntMatrix:
     Q_k = B Q_{k-1} - Q_{k-2}.
 
     B is tridiagonal with unit off-diagonals, so row i of B Q is the sum of
-    rows i-1 and i+1 of Q: each step is O(m^2) additions.  Only
-    n mod 2(m+1) steps run, since the sequence has period 2(m+1).
+    rows i-1 and i+1 of Q: each step is O(m^2) additions.  The sequence has
+    period 2(m+1), so only r = n mod 2(m+1) matters, and for r > m the shift
+    identity Q_r = -Q_{2m-r} (with Q_{-1} = 0) leaves at most m steps.  The
+    recurrence is linear, so starting from Q_0 = -I yields the negation.
     """
+    steps = n % (2 * (m + 1))
+    unit = 1
+    if steps > m:
+        steps, unit = 2 * m - steps, -1
     zero = [0] * m
     prev = [zero] * m
-    cur = [[int(i == j) for j in range(m)] for i in range(m)]
-    for _ in range(n % (2 * (m + 1))):
+    cur = [[unit if i == j else 0 for j in range(m)] for i in range(m)]
+    for _ in range(steps):
         padded = [zero, *cur, zero]
         prev, cur = cur, [
             list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
             for i in range(m)
         ]
-    return IntMatrix.from_rows(cur)
+    return IntMatrix.from_rows(cur if steps >= 0 else prev)
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     """Block reduction: determinant of q_n evaluated at minus the m-path
-    adjacency matrix, an m x m determinant after at most 2m+1 recurrence
+    adjacency matrix, an m x m determinant after at most m recurrence
     steps whatever n is."""
     _require_positive(n=n, m=m)
     if m > ceiling:

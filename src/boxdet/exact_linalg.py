@@ -1,16 +1,17 @@
 """Arbitrary-precision integer matrices and exact determinants.
 
 Two independent determinant routes are deliberately kept side by side:
-:func:`bareiss_det` (fraction-free elimination, the production engine) and
-:func:`cofactor_det` (first-row expansion, a small brute-force oracle capped
-at size 10).  Every exact division inside Bareiss is checked; a nonzero
-remainder means a logic bug and raises immediately instead of corrupting
-the result.
+:func:`bareiss_det` (fraction-free elimination kept inside the matrix's
+band, the production engine) and :func:`cofactor_det` (first-row
+expansion, a small brute-force oracle capped at size 10).  Every exact
+division inside Bareiss is checked; a nonzero remainder means a logic bug
+and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .polynomials import IntPoly
@@ -93,7 +94,8 @@ class IntMatrix:
 
 
 def bareiss_det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (two-step) elimination.
+    """Exact determinant by fraction-free (two-step) elimination, kept inside
+    the matrix's band.
 
     Intermediate entries are minors of the input, so they stay integral and
     growth is bounded; each elimination step divides by the previous pivot
@@ -101,46 +103,72 @@ def bareiss_det(m: IntMatrix) -> int:
     entry below it (flipping the sign); if the whole column is zero the
     determinant is zero.  Row swaps are mandatory here, not an edge case:
     adjacency matrices have zero diagonals.
+
+    The band is read from the matrix: with lower bandwidth ``low`` (at
+    least 1), only rows k+1..k+low can be nonzero in column k, so step k
+    touches only that window.  A row below the window has never been
+    eliminated, and its Bareiss value is its input times the previous
+    pivot, so it waits unscaled and is multiplied once when it enters.
+    Each row keeps its rightmost nonzero column (swapped with the row), and
+    an update stops there, since every entry past it stays 0.  A row with
+    no entry in the pivot column is only scaled by pivot / prev, so it is
+    left alone when the two are equal.  A matrix of size N with both
+    bandwidths b costs O(N b^2) steps; a full one costs what dense
+    elimination does.
     """
     n = m.size
     a = [list(row) for row in m.rows]
+    low = 1
+    right = [-1] * n
+    for i, row in enumerate(a):
+        nonzero = list(compress(range(n), row))
+        if nonzero:
+            low = max(low, i - nonzero[0])
+            right[i] = nonzero[-1]
     sign = 1
     prev = 1
     for k in range(n - 1):
+        last = min(k + low, n - 1)
+        if k + low < n and prev != 1:  # row k + low enters the window
+            entering = a[last]
+            entering[k : right[last] + 1] = [
+                x * prev for x in entering[k : right[last] + 1]
+            ]
         if a[k][k] == 0:
-            for i in range(k + 1, n):
+            for i in range(k + 1, last + 1):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
+                    right[k], right[i] = right[i], right[k]
                     sign = -sign
                     break
             else:
                 return 0
         pivot_row = a[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, last + 1):
             row = a[i]
             factor = row[k]
             if factor:
-                for j in range(k + 1, n):
-                    num = row[j] * pivot - factor * pivot_row[j]
-                    q, r = divmod(num, prev)
-                    if r:
-                        raise ArithmeticError(
-                            f"inexact division at step {k}: {num} by {prev}"
-                        )
-                    row[j] = q
-            elif prev != 1:
-                for j in range(k + 1, n):
-                    num = row[j] * pivot
-                    q, r = divmod(num, prev)
-                    if r:
-                        raise ArithmeticError(
-                            f"inexact division at step {k}: {num} by {prev}"
-                        )
-                    row[j] = q
+                right[i] = max(right[k], right[i])
+                nums = [
+                    x * pivot - factor * y
+                    for x, y in zip(
+                        row[k + 1 : right[i] + 1], pivot_row[k + 1 : right[i] + 1]
+                    )
+                ]
+            elif pivot == prev:
+                continue  # the row would be scaled by pivot / prev = 1
             else:
-                for j in range(k + 1, n):
-                    row[j] *= pivot
+                nums = [x * pivot for x in row[k + 1 : right[i] + 1]]
+            if prev != 1:
+                for j, num in enumerate(nums):
+                    q, r = divmod(num, prev)
+                    if r:
+                        raise ArithmeticError(
+                            f"inexact division at step {k}: {num} by {prev}"
+                        )
+                    nums[j] = q
+            row[k + 1 : right[i] + 1] = nums
         prev = pivot
     return sign * a[n - 1][n - 1]
 

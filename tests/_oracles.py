@@ -4,8 +4,10 @@ Nothing here shares code with the library paths it checks: the
 characteristic polynomial comes from cofactor expansion over
 polynomial-entry matrices, polynomials are evaluated at a matrix by Horner's
 rule over their coefficients (the check on the block method's matrix
-recurrence), eigenvalues come from the known path-spectrum cosine formula,
-and random matrices are drawn from a seeded generator.
+recurrence), determinants come from dense Bareiss elimination over every
+row and column (the check on the banded production routine), eigenvalues
+come from the known path-spectrum cosine formula, and random matrices are
+drawn from a seeded generator.
 """
 from __future__ import annotations
 
@@ -61,6 +63,59 @@ def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:
     for c in reversed(p.coeffs[:-1]):
         result = result @ b + eye * c
     return result
+
+
+def dense_bareiss_det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (two-step) elimination.
+
+    Intermediate entries are minors of the input, so they stay integral and
+    growth is bounded; each elimination step divides by the previous pivot
+    exactly.  A zero pivot is repaired by swapping with the first nonzero
+    entry below it (flipping the sign); if the whole column is zero the
+    determinant is zero.  Row swaps are mandatory here, not an edge case:
+    adjacency matrices have zero diagonals.
+    """
+    n = m.size
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            factor = row[k]
+            if factor:
+                for j in range(k + 1, n):
+                    num = row[j] * pivot - factor * pivot_row[j]
+                    q, r = divmod(num, prev)
+                    if r:
+                        raise ArithmeticError(
+                            f"inexact division at step {k}: {num} by {prev}"
+                        )
+                    row[j] = q
+            elif prev != 1:
+                for j in range(k + 1, n):
+                    num = row[j] * pivot
+                    q, r = divmod(num, prev)
+                    if r:
+                        raise ArithmeticError(
+                            f"inexact division at step {k}: {num} by {prev}"
+                        )
+                    row[j] = q
+            else:
+                for j in range(k + 1, n):
+                    row[j] *= pivot
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:

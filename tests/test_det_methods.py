@@ -106,6 +106,35 @@ class TestBlockRecurrence:
         assert det_block(10**12, 40) == det_closed_form(10**12, 40) == 1
         assert time.perf_counter() - start < 1.0
 
+    def test_runs_at_most_m_steps(self, monkeypatch):
+        """Each recurrence step adds m rows of m entries, so the number of
+        additions counts the steps; the shift identity folds every residue
+        past m back onto a shorter run."""
+        import boxdet.det_methods as dm
+
+        additions = []
+        monkeypatch.setattr(dm, "add", lambda x, y: additions.append(1) or x + y)
+        for m in range(1, 9):
+            for n in range(1, 4 * (m + 1)):
+                additions.clear()
+                block_matrix(n, m)
+                assert len(additions) <= m**3, (n, m)
+
+
+class TestDirectBand:
+    def test_cost_past_the_default_ceiling(self):
+        """Banded elimination keeps N = 2000 within seconds, in either
+        orientation of the arguments."""
+        start = time.perf_counter()
+        assert det_direct(100, 20, ceiling=2000) == det_closed_form(100, 20)
+        assert det_direct(20, 100, ceiling=2000) == det_closed_form(20, 100)
+        assert time.perf_counter() - start < 10.0
+
+    def test_orientation_does_not_change_the_value(self):
+        for n in range(1, 13):
+            for m in range(1, 13):
+                assert det_direct(n, m) == det_direct(m, n), (n, m)
+
 
 class TestAgreement:
     def test_four_way_agreement_up_to_12(self):

@@ -1,13 +1,14 @@
-"""Exact matrix layer: Bareiss vs cofactor, the Horner oracle, Sylvester."""
+"""Exact matrix layer: Bareiss vs cofactor and vs dense elimination, the
+Horner oracle, Sylvester."""
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import matpoly_eval, random_matrix
+from _oracles import dense_bareiss_det, matpoly_eval, random_matrix
 from boxdet.exact_linalg import (
     COFACTOR_SIZE_LIMIT,
     IntMatrix,
@@ -19,6 +20,34 @@ from boxdet.exact_linalg import (
 )
 from boxdet.graphs import adjacency_matrix, box_product, path
 from boxdet.polynomials import ONE, X, ZERO, IntPoly, path_charpoly, resultant
+
+
+@st.composite
+def banded_matrices(draw):
+    """Square matrices with independent lower and upper bandwidths in 0..n,
+    most of them with one of the cases banded elimination can get wrong: a
+    zero diagonal (a swap at every step), an all-zero row, or a row that is
+    a multiple of a nearby one (singular, with the band shifted by at most
+    the distance between the two rows)."""
+    size = draw(st.integers(1, 16))
+    low = draw(st.integers(0, size))
+    up = draw(st.integers(0, size))
+    band = [(i, j) for i in range(size) for j in range(size) if -low <= j - i <= up]
+    values = draw(st.lists(st.integers(-4, 4), min_size=len(band), max_size=len(band)))
+    rows = [[0] * size for _ in range(size)]
+    for (i, j), x in zip(band, values):
+        rows[i][j] = x
+    case = draw(st.sampled_from(("plain", "zero diagonal", "zero row", "dependent row")))
+    if case == "zero diagonal":
+        for i in range(size):
+            rows[i][i] = 0
+    elif case == "zero row":
+        rows[draw(st.integers(0, size - 1))] = [0] * size
+    elif case == "dependent row" and size > 1:
+        i = draw(st.integers(0, size - 2))
+        j = draw(st.integers(i + 1, min(i + 3, size - 1)))
+        rows[j] = [draw(st.integers(-3, 3)) * x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
 
 
 class TestIntMatrix:
@@ -110,6 +139,15 @@ class TestDeterminants:
     def test_bareiss_agrees_with_cofactor(self, rows):
         m = IntMatrix.from_rows(rows)
         assert bareiss_det(m) == cofactor_det(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(banded_matrices())
+    # pivots of 2, so a row entering the window must be scaled by the last
+    @example(IntMatrix.from_rows([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]))
+    # a zero pivot sends down a row reaching further right than its partner
+    @example(IntMatrix.from_rows([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+    def test_banded_agrees_with_dense_elimination(self, m):
+        assert bareiss_det(m) == dense_bareiss_det(m)
 
 
 class TestMatpolyEval:
