@@ -7,19 +7,21 @@ comparisons behave correctly without a sentinel integer colliding with
 degree 0.
 
 The module also provides the characteristic polynomials ``det(A - xI)`` of
-path graphs (:func:`path_charpoly`), built from the three-term recurrence
-``q_n = -x * q_{n-1} - q_{n-2}``.  Under this determinant convention the
+path graphs (:func:`path_charpoly`).  They satisfy the recurrence
+``q_n = -x * q_{n-1} - q_{n-2}``, solved by the Chebyshev expansion
+``q_n = (-1)**n U_n(x/2)``, so q_n is built from its binomial coefficients
+in O(n) exactly checked steps, with no earlier q_k kept; a bounded cache
+holds the most recently used values.  Under this determinant convention the
 leading coefficient of the n-vertex path polynomial is ``(-1)**n``, not +1;
-that fact is asserted on every cached value rather than assumed.
+that fact is asserted on every value rather than assumed.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
@@ -162,31 +164,31 @@ ZERO = IntPoly(())
 ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
-_MINUS_X = IntPoly((0, -1))
 
-_charpoly_lock = threading.Lock()
-_charpoly_cache: list[IntPoly] = []
-
-
+@lru_cache(maxsize=256)
 def path_charpoly(n: int) -> IntPoly:
     """Characteristic polynomial ``det(A - xI)`` of the path on n vertices.
 
-    The sequence starts from the empty-matrix determinant (n=0 gives 1,
-    n=1 gives -x) and extends by ``q_n = -x * q_{n-1} - q_{n-2}``.  Values
-    are cached under a lock, so concurrent callers are safe.
+    n=0 gives 1 (the empty-matrix determinant) and n=1 gives -x; in general
+    the coefficient of ``x**(n-2k)`` is ``(-1)**(n-k) C(n-k, k)``.  Each
+    binomial comes from the one before by
+    ``C(n-k, k) = C(n-k+1, k-1) (n-2k+2)(n-2k+1) / (k(n-k+1))``, and every
+    such division is checked to be exact.  The 256 most recently used values
+    are cached (``path_charpoly.cache_info()``); the cache is thread-safe.
     """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
-    with _charpoly_lock:
-        if not _charpoly_cache:
-            _charpoly_cache.append(ONE)
-            _charpoly_cache.append(_MINUS_X)
-        while len(_charpoly_cache) <= n:
-            k = len(_charpoly_cache)
-            q = _MINUS_X * _charpoly_cache[k - 1] - _charpoly_cache[k - 2]
-            assert q.degree == k and q.leading_coefficient == (-1) ** k
-            _charpoly_cache.append(q)
-        return _charpoly_cache[n]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = -1 if n % 2 else 1
+    binom = 1  # C(n-k, k)
+    for k in range(1, n // 2 + 1):
+        binom, rest = divmod(binom * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k + 1))
+        if rest:
+            raise ArithmeticError(f"inexact binomial step at n={n}, k={k}")
+        coeffs[n - 2 * k] = -binom if (n - k) % 2 else binom
+    q = IntPoly(tuple(coeffs))
+    assert q.degree == n and q.leading_coefficient == (-1) ** n
+    return q
 
 
 def parity(p: IntPoly) -> Parity:
@@ -210,53 +212,57 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if b.leading_coefficient not in (1, -1):
-        raise ValueError(
-            f"divisor leading coefficient must be +1 or -1, got {b.leading_coefficient}"
-        )
-    db = len(b.coeffs) - 1
-    lead_inv = b.leading_coefficient  # its own inverse
-    r = list(a.coeffs)
-    while r and len(r) - 1 >= db:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        factor = r[-1] * lead_inv
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= factor * c
-        r.pop()  # top coefficient cancelled exactly
-    return IntPoly(tuple(r))
+    lb = b.leading_coefficient
+    if lb not in (1, -1):
+        raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lb}")
+    if a.degree < b.degree:
+        return a
+    # The remainder by -b is the remainder by b, and by a divisor with
+    # leading coefficient 1 the pseudo-remainder is the remainder itself.
+    monic = b.coeffs if lb == 1 else tuple(-c for c in b.coeffs)
+    return IntPoly(tuple(_prem(a.coeffs, monic)))
 
 
 def _content(coeffs: Sequence[int]) -> int:
     return reduce(math.gcd, coeffs)
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
 
-    Coefficient lists, ascending, a and b nonzero with deg a >= deg b.
+    Coefficient lists, ascending, b nonzero and len(a) >= len(b); zero top
+    coefficients of a count as steps.  Each step scales by lc(b) only the
+    window under the divisor; a coefficient below it takes the scalings it
+    missed in one multiplication when it enters.  A step whose top
+    coefficient is already zero scales nothing, and the remainder takes
+    those scalings at the end.  With lc(b) = 1 there is nothing to scale.
     """
     db = len(b) - 1
     lb = b[-1]
-    scale = len(a) - 1 - db + 1
     r = list(a)
-    while r and len(r) - 1 >= db:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= lead * c
-        r.pop()
-        scale -= 1
+    lift = 1  # lb ** (steps that scaled the window so far)
+    skipped = 0
+    for top in range(len(r) - 1, db - 1, -1):
+        low = top - db
+        if lift != 1:
+            r[low] *= lift
+        lead = r[top]
+        if not lead:
+            skipped += 1
+        elif lb == 1:
+            for i, d in enumerate(b, low):
+                r[i] -= lead * d
+        else:
+            for i, d in enumerate(b, low):
+                r[i] = lb * r[i] - lead * d
+            lift *= lb
+    del r[db:]
     while r and r[-1] == 0:
         r.pop()
-    factor = lb**scale
-    return [c * factor for c in r]
+    if skipped and lb != 1:
+        factor = lb**skipped
+        r = [c * factor for c in r]
+    return r
 
 
 def _exact_div(values: Iterable[int], divisor: int) -> list[int]:

@@ -2,15 +2,19 @@
 
 Nothing here shares code with the library paths it checks: the
 characteristic polynomial comes from cofactor expansion over
-polynomial-entry matrices, polynomials are evaluated at a matrix by Horner's
-rule over their coefficients (the check on the block method's matrix
-recurrence), determinants come from dense Bareiss elimination over every
-row and column (the check on the banded production routine), eigenvalues
-come from the known path-spectrum cosine formula, and random matrices are
-drawn from a seeded generator.
+polynomial-entry matrices and from the rolling three-term recurrence (the
+check on the binomial expansion), pseudo-remainders come from dense
+schoolbook pseudo-division that rescales the whole dividend at every step
+(the check on the windowed routine), polynomials are evaluated at a matrix
+by Horner's rule over their coefficients (the check on the block method's
+matrix recurrence), determinants come from dense Bareiss elimination over
+every row and column (the check on the banded production routine),
+eigenvalues come from the known path-spectrum cosine formula, and random
+matrices are drawn from a seeded generator.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -47,6 +51,48 @@ def charpoly_by_cofactor(n: int) -> IntPoly:
         for i in range(n)
     ]
     return _poly_det(rows)
+
+
+def recurrence_charpolys():
+    """q_0, q_1, q_2, ... by ``q_k = -x * q_{k-1} - q_{k-2}``, keeping only
+    the last two; O(k) polynomial operations to reach q_k."""
+    minus_x = IntPoly((0, -1))
+    prev, cur = ONE, minus_x
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, minus_x * cur - prev
+
+
+def recurrence_charpoly(n: int) -> IntPoly:
+    """q_n by the rolling recurrence; O(n**2) coefficient operations."""
+    return next(itertools.islice(recurrence_charpolys(), n, None))
+
+
+def dense_prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
+
+    Coefficient lists, ascending, a and b nonzero with deg a >= deg b.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    scale = len(a) - 1 - db + 1
+    r = list(a)
+    while r and len(r) - 1 >= db:
+        if r[-1] == 0:
+            r.pop()
+            continue
+        lead = r[-1]
+        shift = len(r) - 1 - db
+        r = [lb * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= lead * c
+        r.pop()
+        scale -= 1
+    while r and r[-1] == 0:
+        r.pop()
+    factor = lb**scale
+    return [c * factor for c in r]
 
 
 def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -134,6 +135,23 @@ class TestDirectBand:
         for n in range(1, 13):
             for m in range(1, 13):
                 assert det_direct(n, m) == det_direct(m, n), (n, m)
+
+
+class TestResultantCost:
+    def test_long_path_memory_and_time(self):
+        """q_3000 is built from its own coefficients, with no q_0..q_2999
+        kept, and pseudo-division works only under the divisor."""
+        path_charpoly.cache_clear()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert det_resultant(1, 3000) == det_closed_form(1, 3000)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert elapsed < 1.0
 
 
 class TestAgreement:

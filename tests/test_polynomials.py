@@ -4,10 +4,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _oracles import charpoly_by_cofactor
+from _oracles import charpoly_by_cofactor, dense_prem, recurrence_charpoly, recurrence_charpolys
 from boxdet.polynomials import (
     NEG_INFINITY,
     ONE,
@@ -15,6 +15,7 @@ from boxdet.polynomials import (
     ZERO,
     IntPoly,
     Parity,
+    _prem,
     parity,
     path_charpoly,
     poly_from_json,
@@ -115,6 +116,17 @@ class TestPathCharpoly:
         with pytest.raises(ValueError):
             path_charpoly(-1)
 
+    def test_matches_rolling_recurrence_up_to_400(self):
+        for n, q in zip(range(0, 401), recurrence_charpolys()):
+            assert path_charpoly(n) == q
+
+    def test_matches_rolling_recurrence_at_1000_and_3000(self):
+        for n in (1000, 3000):
+            assert path_charpoly(n) == recurrence_charpoly(n)
+
+    def test_cache_is_bounded(self):
+        assert path_charpoly.cache_info().maxsize is not None
+
 
 class TestParity:
     def test_examples(self):
@@ -191,6 +203,29 @@ class TestPseudoRem:
         q = IntPoly(tuple(q_coeffs))
         r = IntPoly(tuple(r_coeffs[: b_degree]))
         assert pseudo_rem(q * b + r, b) == r
+
+
+coefficients = st.integers(-30, 30)
+
+
+class TestWindowedPrem:
+    @given(
+        st.lists(coefficients, max_size=6),
+        st.one_of(st.sampled_from([1, -1]), coefficients.filter(bool)),
+        st.lists(coefficients, max_size=8),
+        st.integers(0, 3),
+    )
+    @example([], 1, [], 0)  # deg b == 0, deg a == deg b
+    @example([], -3, [5, 0, 7], 2)  # deg b == 0, zero top coefficients
+    @example([1, 2], 3, [], 0)  # deg a == deg b, non-unit lc(b)
+    @example([0, 1], -2, [4, 0, 0, 9], 1)  # skipped steps between real ones
+    @example([1, 0, 1], 2, [0], 4)  # a is zero but for its length
+    def test_agrees_with_dense_pseudo_division(self, b_low, b_lead, a_low, zero_top):
+        """a is padded to at least deg b + 1 coefficients and then gets
+        zero_top zero coefficients on top, which still count as steps."""
+        b = b_low + [b_lead]
+        a = a_low + [0] * (len(b) - len(a_low)) + [0] * zero_top
+        assert _prem(a, b) == dense_prem(a, b)
 
 
 class TestResultant:
