@@ -9,8 +9,8 @@ Subcommands:
 * ``bench``       wall-clock comparison of the methods, CSV.
 
 Exit status: 0 on success with full agreement, 1 when methods disagree or an
-identity check fails, 2 for usage errors.  ``--threads`` wins over the
-``BOXDET_THREADS`` environment variable; the CPU count is the fallback.
+identity check fails, 2 for usage errors.  Every command runs in the
+calling thread, so output order is the order of the work.
 """
 from __future__ import annotations
 
@@ -18,32 +18,23 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,
     DEFAULT_DIRECT_CEILING,
     DetReport,
     IdentityReport,
-    check_annihilation,
-    check_power,
-    check_product_n_plus_1,
-    check_shift,
-    check_splitting,
-    check_symmetry,
     det_block,
     det_closed_form,
     det_direct,
     det_resultant,
+    identity_suite,
     verify_all,
 )
 from .polynomials import path_charpoly, poly_to_json
 
-THREADS_ENV_VAR = "BOXDET_THREADS"
 FORMATS = ("pretty", "json", "csv")
 
 # Method names as spelled on the command line; "closed" is the library's
@@ -62,33 +53,6 @@ BENCH_CSV_HEADER = ("n", "m", "method", "status", "det", "elapsed_ms")
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated parameters for a determinant sweep."""
-
-    max_n: int
-    max_m: int
-    methods: frozenset[str] = frozenset(CLI_METHODS)
-    format: str = "pretty"
-    ceiling: int = DEFAULT_DIRECT_CEILING
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_n < 1 or self.max_m < 1:
-            raise ValueError("sweep bounds must be >= 1")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        unknown = set(self.methods) - set(CLI_METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format: {self.format}")
-        if self.ceiling < 1:
-            raise ValueError("ceiling must be >= 1")
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
 
 
 def positive_int(text: str) -> int:
@@ -122,23 +86,6 @@ def parse_sizes(text: str) -> list[tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"size must look like NxM: {chunk!r}")
         sizes.append((positive_int(n_text), positive_int(m_text)))
     return sizes
-
-
-def default_threads() -> int:
-    """Thread-count fallback chain: environment variable, then CPU count."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-        print(
-            f"warning: ignoring invalid {THREADS_ENV_VAR}={raw!r}",
-            file=sys.stderr,
-        )
-    return os.cpu_count() or 1
 
 
 def _library_methods(cli_names: frozenset[str]) -> frozenset[str]:
@@ -224,30 +171,24 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
-def run_sweep(config: SweepConfig, *, block_ceiling: int = DEFAULT_BLOCK_CEILING) -> list[DetReport]:
-    """Every (n, m) report for the configured grid, sorted by n then m.
-
-    Work fans out over a thread pool; the sorted pair list is mapped in
-    order, so the output sequence never depends on scheduling.
-    """
-    pairs = [
-        (n, m)
-        for n in range(1, config.max_n + 1)
-        for m in range(1, config.max_m + 1)
-    ]
-    methods = _library_methods(config.methods)
-
-    def worker(pair: tuple[int, int]) -> DetReport:
-        return verify_all(
-            pair[0],
-            pair[1],
-            ceiling=config.ceiling,
-            block_ceiling=block_ceiling,
-            methods=methods,
+def run_sweep(
+    max_n: int,
+    max_m: int,
+    methods: frozenset[str],
+    *,
+    ceiling: int,
+    block_ceiling: int,
+) -> list[DetReport]:
+    """Every (n, m) report with n <= max_n and m <= max_m, sorted by n then
+    m; ``methods`` holds command-line method names."""
+    selected = _library_methods(methods)
+    return [
+        verify_all(
+            n, m, ceiling=ceiling, block_ceiling=block_ceiling, methods=selected
         )
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(worker, pairs))
+        for n in range(1, max_n + 1)
+        for m in range(1, max_m + 1)
+    ]
 
 
 def _print_sweep_pretty(reports: list[DetReport]) -> None:
@@ -258,20 +199,17 @@ def _print_sweep_pretty(reports: list[DetReport]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
-    config = SweepConfig(
-        max_n=args.max_n,
-        max_m=args.max_m,
-        methods=frozenset(args.methods),
-        format=args.format,
+    reports = run_sweep(
+        args.max_n,
+        args.max_m,
+        frozenset(args.methods),
         ceiling=args.ceiling,
-        threads=threads,
+        block_ceiling=args.block_ceiling,
     )
-    reports = run_sweep(config, block_ceiling=args.block_ceiling)
 
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    elif config.format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER)
         writer.writerows(_sweep_csv_row(r) for r in reports)
@@ -289,52 +227,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --- identities --------------------------------------------------------------
 
 
-def run_identities(max_k: int, threads: int) -> list[IdentityReport]:
+def run_identities(max_k: int) -> list[IdentityReport]:
     """The full identity suite with every family's size bound set to max_k.
 
-    Secondary bounds (multiplier t, exponent a) keep their defaults.  Checks
-    fan out over a thread pool; results come back in submission order.
+    Secondary bounds (multiplier t, exponent a) keep their defaults.
     """
-    jobs = []
-    for k in range(1, max_k + 1):
-        jobs.append(("splitting", k, None))
-    for k in range(1, max_k + 1):
-        for s in range(0, k + 1):
-            jobs.append(("shift", k, s))
-    for k in range(1, max_k + 1):
-        for t in range(1, 5 + 1):
-            jobs.append(("annihilation", k, t))
-    for k in range(1, max_k + 1):
-        for a in range(1, 4 + 1):
-            for b in range(0, k + 1):
-                jobs.append(("power", k, (a, b)))
-    for n in range(1, max_k + 1):
-        jobs.append(("product_n_plus_1", n, None))
-    for n in range(1, max_k + 1):
-        for m in range(1, max_k + 1):
-            jobs.append(("symmetry", n, m))
-
-    def worker(job: tuple) -> IdentityReport:
-        family, first, second = job
-        if family == "splitting":
-            return check_splitting(first)
-        if family == "shift":
-            return check_shift(first, second)
-        if family == "annihilation":
-            return check_annihilation(first, second)
-        if family == "power":
-            return check_power(first, *second)
-        if family == "product_n_plus_1":
-            return check_product_n_plus_1(first)
-        return check_symmetry(first, second)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+    return identity_suite(
+        splitting_max_k=max_k,
+        shift_max_k=max_k,
+        annihilation_max_k=max_k,
+        power_max_k=max_k,
+        product_max_n=max_k,
+        symmetry_max=max_k,
+    )
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else default_threads()
-    reports = run_identities(args.max_k, threads)
+    reports = run_identities(args.max_k)
 
     families: dict[str, list[IdentityReport]] = {}
     for report in reports:
@@ -458,12 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-m", type=positive_int, required=True)
     sweep.add_argument("--format", choices=FORMATS, default="pretty")
     _add_method_flags(sweep)
-    sweep.add_argument(
-        "--threads",
-        type=positive_int,
-        default=None,
-        help=f"worker count (default: ${THREADS_ENV_VAR} or the CPU count)",
-    )
     sweep.set_defaults(handler=cmd_sweep)
 
     identities = commands.add_parser(
@@ -474,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         required=True,
         help="size bound applied to every identity family",
-    )
-    identities.add_argument(
-        "--threads",
-        type=positive_int,
-        default=None,
-        help=f"worker count (default: ${THREADS_ENV_VAR} or the CPU count)",
     )
     identities.set_defaults(handler=cmd_identities)
 

@@ -111,12 +111,14 @@ class IntPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
+        # Path polynomials vanish at every other degree, so skip zero
+        # coefficients in both factors.
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return IntPoly(tuple(out))
 
     __rmul__ = __mul__
@@ -127,12 +129,13 @@ class IntPoly:
         result = ONE
         base = self
         k = exponent
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __call__(self, x):
         """Evaluate at a scalar (int, float, ...) by Horner's rule."""

@@ -3,7 +3,9 @@
 Nothing here shares code with the library paths it checks: the
 characteristic polynomial comes from cofactor expansion over
 polynomial-entry matrices and from the rolling three-term recurrence (the
-check on the binomial expansion), pseudo-remainders come from dense
+check on the binomial expansion), products and powers come from the plain
+double-loop convolution (the check on the zero-skipping product and on
+square-and-multiply), pseudo-remainders come from dense
 schoolbook pseudo-division that rescales the whole dividend at every step
 (the check on the windowed routine), polynomials are evaluated at a matrix
 by Horner's rule over their coefficients (the check on the block method's
@@ -93,6 +95,24 @@ def dense_prem(a: list[int], b: list[int]) -> list[int]:
         r.pop()
     factor = lb**scale
     return [c * factor for c in r]
+
+
+def convolve(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p * q by the plain double loop over every coefficient pair, zero
+    coefficients included."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IntPoly(tuple(out))
+
+
+def repeated_power(p: IntPoly, a: int) -> IntPoly:
+    """p ** a as a products by :func:`convolve`, starting from 1."""
+    result = ONE
+    for _ in range(a):
+        result = convolve(result, p)
+    return result
 
 
 def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:

@@ -1,4 +1,4 @@
-"""Command-line surface: golden outputs, exit codes, formats, threading."""
+"""Command-line surface: golden outputs, exit codes, formats."""
 from __future__ import annotations
 
 import json
@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import boxdet.cli as cli
-from boxdet.cli import SweepConfig, default_threads, main, parse_sizes
+import boxdet.det_methods as det_methods
+from boxdet.cli import main, parse_sizes
 from boxdet.det_methods import DetReport, IdentityReport
 from boxdet.polynomials import ONE
 
@@ -150,9 +151,9 @@ class TestSweep:
 
     def test_deterministic_output(self, capsys):
         first = run_cli(capsys, "sweep", "--max-n", "4", "--max-m", "4",
-                        "--format", "csv", "--threads", "4")
+                        "--format", "csv")
         second = run_cli(capsys, "sweep", "--max-n", "4", "--max-m", "4",
-                         "--format", "csv", "--threads", "4")
+                         "--format", "csv")
         assert first == second
 
     def test_csv_and_json_encode_the_same_sweep(self, capsys):
@@ -195,19 +196,29 @@ class TestSweep:
         assert "1,2,1,-1,false" in out
         assert "disagreement at n=1 m=2" in err
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=0, max_m=1)
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=1, max_m=1, methods=frozenset())
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=1, max_m=1, methods=frozenset({"nope"}))
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=1, max_m=1, format="xml")
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=1, max_m=1, ceiling=0)
-        with pytest.raises(ValueError):
-            SweepConfig(max_n=1, max_m=1, threads=0)
+    @pytest.mark.parametrize("argv", [
+        ["--max-n", "0", "--max-m", "2"],
+        ["--max-n", "2", "--max-m", "0"],
+        ["--max-n", "2", "--max-m", "2", "--ceiling", "0"],
+        ["--max-n", "2", "--max-m", "2", "--methods"],
+        ["--max-n", "2", "--max-m", "2", "--methods", "nope"],
+        ["--max-n", "2", "--max-m", "2", "--format", "xml"],
+    ])
+    def test_invalid_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--max-n", "2", "--max-m", "2"),
+        ("identities", "--max-k", "2"),
+    ])
+    def test_threads_option_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 IDENTITIES_K5 = (
@@ -251,7 +262,7 @@ class TestIdentities:
         def broken(k):
             return IdentityReport("splitting", {"k": k}, False, witness=ONE)
 
-        monkeypatch.setattr(cli, "check_splitting", broken)
+        monkeypatch.setattr(det_methods, "check_splitting", broken)
         code, out, err = run_cli(capsys, "identities", "--max-k", "2")
         assert code == 1
         assert "splitting          FAIL" in out
@@ -308,29 +319,6 @@ class TestBench:
         assert parse_sizes("4x4,8x8") == [(4, 4), (8, 8)]
         assert parse_sizes(" ") == []
         assert parse_sizes("10x2") == [(10, 2)]
-
-
-class TestThreads:
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("BOXDET_THREADS", "3")
-        assert default_threads() == 3
-
-    def test_invalid_env_var_warns_and_falls_back(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOXDET_THREADS", "abc")
-        value = default_threads()
-        assert value >= 1
-        assert "BOXDET_THREADS" in capsys.readouterr().err
-
-    def test_flag_wins_over_environment(self, capsys, monkeypatch):
-        # with a broken env var, the explicit flag must prevent any warning
-        monkeypatch.setenv("BOXDET_THREADS", "abc")
-        code, out, err = run_cli(
-            capsys, "sweep", "--max-n", "2", "--max-m", "2",
-            "--format", "csv", "--threads", "2",
-        )
-        assert code == 0
-        assert err == ""
-        assert len(out.strip().split("\n")) == 5
 
 
 class TestEntryPoints:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _oracles import charpoly_by_cofactor, dense_prem, recurrence_charpoly, recurrence_charpolys
+from _oracles import (
+    charpoly_by_cofactor,
+    convolve,
+    dense_prem,
+    recurrence_charpoly,
+    recurrence_charpolys,
+    repeated_power,
+)
 from boxdet.polynomials import (
     NEG_INFINITY,
     ONE,
@@ -84,6 +91,53 @@ class TestIntPolyBasics:
             assert (p * q).is_zero
         else:
             assert (p * q).degree == p.degree + q.degree
+
+
+# Path polynomials vanish at every other degree; so do these interleavings.
+parity_sparse_polys = st.one_of(
+    st.integers(0, 30).map(path_charpoly),
+    st.tuples(st.booleans(), st.lists(st.integers(-9, 9), max_size=6)).map(
+        lambda t: IntPoly((0,) * t[0] + tuple(x for c in t[1] for x in (c, 0)))
+    ),
+)
+product_operands = st.one_of(
+    small_polys,
+    parity_sparse_polys,
+    st.lists(st.integers(-(10**30), 10**30), max_size=5).map(lambda cs: IntPoly(tuple(cs))),
+)
+
+
+class TestProducts:
+    @given(product_operands, product_operands)
+    @example(path_charpoly(5), path_charpoly(4))
+    @example(path_charpoly(21), path_charpoly(21))
+    @example(ZERO, path_charpoly(3))
+    def test_product_matches_plain_convolution(self, p, q):
+        assert p * q == convolve(p, q)
+        assert q * p == convolve(p, q)
+
+    @given(product_operands, st.integers(0, 8))
+    @example(path_charpoly(21), 4)
+    @example(ZERO, 0)
+    def test_power_matches_repeated_multiplication(self, p, a):
+        assert p**a == repeated_power(p, a)
+
+    @pytest.mark.parametrize("a", range(17))
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, a):
+        """Square-and-multiply needs bit_length(a) - 1 squarings and one
+        product per set bit; a squaring after the last bit is wasted."""
+        base = path_charpoly(7)
+        counts = {"squarings": 0, "products": 0}
+        real_mul = IntPoly.__mul__
+
+        def counting_mul(self, other):
+            counts["squarings" if self is other else "products"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        base**a
+        assert counts["squarings"] <= max(a.bit_length() - 1, 0)
+        assert counts["products"] <= bin(a).count("1")
 
 
 class TestPathCharpoly:
