@@ -19,17 +19,13 @@ import csv
 import json
 import math
 import sys
-import time
 
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,
     DEFAULT_DIRECT_CEILING,
+    METHOD_NAMES,
     DetReport,
     IdentityReport,
-    det_block,
-    det_closed_form,
-    det_direct,
-    det_resultant,
     identity_suite,
     verify_all,
 )
@@ -37,15 +33,10 @@ from .polynomials import path_charpoly, poly_to_json
 
 FORMATS = ("pretty", "json", "csv")
 
-# Method names as spelled on the command line; "closed" is the library's
-# "closed_form".
+# Method names as spelled on the command line, paired by position with the
+# library's METHOD_NAMES; "closed" is the library's "closed_form".
 CLI_METHODS = ("direct", "block", "resultant", "closed")
-_TO_LIBRARY_NAME = {
-    "direct": "direct",
-    "block": "block",
-    "resultant": "resultant",
-    "closed": "closed_form",
-}
+_TO_LIBRARY_NAME = dict(zip(CLI_METHODS, METHOD_NAMES))
 
 SWEEP_CSV_HEADER = ("n", "m", "gcd", "det", "methods_agree")
 BENCH_CSV_HEADER = ("n", "m", "method", "status", "det", "elapsed_ms")
@@ -55,24 +46,21 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
 
 
 def parse_sizes(text: str) -> list[tuple[int, int]]:
@@ -104,15 +92,10 @@ def _print_det_pretty(report: DetReport, selected: frozenset[str]) -> None:
         f"P_{report.n} box P_{report.m}: {report.n * report.m} vertices, "
         f"gcd(n+1, m+1) = {_report_gcd(report)}"
     )
-    named = (
-        ("direct", report.direct),
-        ("block", report.block),
-        ("resultant", report.resultant),
-        ("closed_form", report.closed_form),
-    )
     # A selected method with no value was stopped by its ceiling; a method
     # that was never selected gets no row at all.
-    for name, value in named:
+    for name in METHOD_NAMES:
+        value = getattr(report, name)
         if value is None:
             if name in selected:
                 print(f"  {name:<12} skipped (ceiling)")
@@ -132,6 +115,12 @@ def _sweep_csv_row(report: DetReport) -> tuple[str, str, str, str, str]:
     )
 
 
+def _write_sweep_csv(reports: list[DetReport]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_HEADER)
+    writer.writerows(_sweep_csv_row(r) for r in reports)
+
+
 def _warn_disagreement(report: DetReport) -> None:
     detail = ", ".join(f"{k}={v}" for k, v in report.results().items())
     print(f"disagreement at n={report.n} m={report.m}: {detail}", file=sys.stderr)
@@ -149,9 +138,7 @@ def cmd_det(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        writer.writerow(_sweep_csv_row(report))
+        _write_sweep_csv([report])
     else:
         _print_det_pretty(report, selected)
     if not report.agree:
@@ -210,9 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        writer.writerows(_sweep_csv_row(r) for r in reports)
+        _write_sweep_csv(reports)
     else:
         _print_sweep_pretty(reports)
 
@@ -274,29 +259,21 @@ def _bench_rows(
     ceiling: int,
     block_ceiling: int,
 ) -> list[tuple[str, str, str, str, str, str]]:
+    selected = _library_methods(methods)
     rows = []
     for n, m in sizes:
-        for name in CLI_METHODS:
-            if name not in methods:
+        report = verify_all(
+            n, m, ceiling, block_ceiling=block_ceiling, methods=selected
+        )
+        for cli_name, name in _TO_LIBRARY_NAME.items():
+            if cli_name not in methods:
                 continue
-            if name == "direct" and n * m > ceiling:
-                rows.append((str(n), str(m), name, "skipped (ceiling)", "", ""))
-                continue
-            if name == "block" and m > block_ceiling:
-                rows.append((str(n), str(m), name, "skipped (ceiling)", "", ""))
-                continue
-            fn = {
-                "direct": lambda: det_direct(n, m, ceiling),
-                "block": lambda: det_block(n, m, block_ceiling),
-                "resultant": lambda: det_resultant(n, m),
-                "closed": lambda: det_closed_form(n, m),
-            }[name]
-            start = time.perf_counter()
-            value = fn()
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                (str(n), str(m), name, "ok", str(value), f"{elapsed_ms:.3f}")
-            )
+            value = getattr(report, name)
+            if value is None:
+                rows.append((str(n), str(m), cli_name, "skipped (ceiling)", "", ""))
+            else:
+                ms = report.elapsed[name] * 1000.0
+                rows.append((str(n), str(m), cli_name, "ok", str(value), f"{ms:.3f}"))
     return rows
 
 

@@ -84,23 +84,16 @@ class DetReport:
 
     def results(self) -> dict[str, int]:
         """Computed values only, keyed by method name."""
-        values = {
-            "direct": self.direct,
-            "block": self.block,
-            "resultant": self.resultant,
-            "closed_form": self.closed_form,
-        }
+        values = {name: getattr(self, name) for name in METHOD_NAMES}
         return {k: v for k, v in values.items() if v is not None}
 
     def to_json_dict(self) -> dict:
+        results = self.results()
         return {
             "n": self.n,
             "m": self.m,
             "results": {
-                "direct": None if self.direct is None else str(self.direct),
-                "block": None if self.block is None else str(self.block),
-                "resultant": None if self.resultant is None else str(self.resultant),
-                "closed_form": str(self.closed_form),
+                k: str(results[k]) if k in results else None for k in METHOD_NAMES
             },
             "agree": self.agree,
             "elapsed_ms": {k: v * 1000.0 for k, v in self.elapsed.items()},
@@ -217,47 +210,40 @@ def verify_all(
     block_ceiling: int = DEFAULT_BLOCK_CEILING,
     methods: frozenset[str] | set[str] = frozenset(METHOD_NAMES),
 ) -> DetReport:
-    """Run every requested method whose cost fits its ceiling and compare.
+    """Run every requested method, in METHOD_NAMES order, and compare.
 
-    The closed form always runs (it is O(log) arithmetic and anchors the
-    report).  Methods priced out by their ceiling are recorded as absent
-    rather than raising.
+    Each method checks its own ceiling before doing any work; one that
+    raises SizeLimitError is recorded as skipped: its value is None and it
+    has no elapsed entry.  The closed form always runs (it is O(log)
+    arithmetic and anchors the report).
     """
     _require_positive(n=n, m=m)
     unknown = set(methods) - set(METHOD_NAMES)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
 
-    values: dict[str, int | None] = {"direct": None, "block": None, "resultant": None}
+    # Each entry looks its function up by name when called, so a wrapper
+    # rebound over a module-level name sees every call.
+    runs = {
+        "direct": lambda: det_direct(n, m, ceiling),
+        "block": lambda: det_block(n, m, block_ceiling),
+        "resultant": lambda: det_resultant(n, m),
+        "closed_form": lambda: det_closed_form(n, m),
+    }
+    values: dict[str, int | None] = dict.fromkeys(METHOD_NAMES)
     elapsed: dict[str, float] = {}
-
-    def timed(name: str, fn) -> None:
+    for name in METHOD_NAMES:
+        if name not in methods and name != "closed_form":
+            continue
         start = time.perf_counter()
-        values[name] = fn()
+        try:
+            values[name] = runs[name]()
+        except SizeLimitError:
+            continue
         elapsed[name] = time.perf_counter() - start
 
-    if "direct" in methods and n * m <= ceiling:
-        timed("direct", lambda: det_direct(n, m, ceiling))
-    if "block" in methods and m <= block_ceiling:
-        timed("block", lambda: det_block(n, m, block_ceiling))
-    if "resultant" in methods:
-        timed("resultant", lambda: det_resultant(n, m))
-
-    start = time.perf_counter()
-    closed = det_closed_form(n, m)
-    elapsed["closed_form"] = time.perf_counter() - start
-
-    computed = [v for v in values.values() if v is not None] + [closed]
-    return DetReport(
-        n=n,
-        m=m,
-        direct=values["direct"],
-        block=values["block"],
-        resultant=values["resultant"],
-        closed_form=closed,
-        agree=len(set(computed)) <= 1,
-        elapsed=elapsed,
-    )
+    computed = {v for v in values.values() if v is not None}
+    return DetReport(n=n, m=m, **values, agree=len(computed) <= 1, elapsed=elapsed)
 
 
 # --- identity checks -------------------------------------------------------

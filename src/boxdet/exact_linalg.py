@@ -9,7 +9,6 @@ and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -220,15 +219,3 @@ def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
     for i in range(n):
         rows.append((0,) * i + gdesc + (0,) * (n - 1 - i))
     return IntMatrix(tuple(rows))
-
-
-def matrix_to_json(m: IntMatrix) -> str:
-    """Entries as a JSON array of arrays of decimal strings."""
-    return json.dumps([[str(a) for a in row] for row in m.rows])
-
-
-def matrix_from_json(text: str) -> IntMatrix:
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError("matrix JSON must be an array of arrays of decimal strings")
-    return IntMatrix(tuple(tuple(int(a) for a in row) for row in data))

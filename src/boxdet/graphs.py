@@ -77,22 +77,3 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
         rows[u - 1][v - 1] = 1
         rows[v - 1][u - 1] = 1
     return IntMatrix.from_rows(rows)
-
-
-def graph_to_text(g: Graph) -> str:
-    """Minimal edge-list form: first line the vertex count, then "u v" lines."""
-    lines = [str(g.n_vertices)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty graph text")
-    n = int(lines[0])
-    edges = set()
-    for line in lines[1:]:
-        u, v = line.split()
-        edges.add((int(u), int(v)))
-    return Graph(n, frozenset(edges))

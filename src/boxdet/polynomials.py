@@ -337,10 +337,3 @@ def poly_to_json(p: IntPoly) -> str:
     JSON reader bit-exactly.  The zero polynomial serializes as ``[]``.
     """
     return json.dumps([str(c) for c in p.coeffs])
-
-
-def poly_from_json(text: str) -> IntPoly:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("polynomial JSON must be an array of decimal strings")
-    return IntPoly(tuple(int(item) for item in data))

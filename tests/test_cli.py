@@ -321,6 +321,41 @@ class TestBench:
         assert parse_sizes("10x2") == [(10, 2)]
 
 
+class TestCeilingBoundary:
+    """At each side of each bound, `det`, `bench` and `verify_all` agree on
+    which methods ran.  P_4 box P_5 has n*m = 20 and m = 5."""
+
+    @pytest.mark.parametrize("flag, keyword, bound, method", [
+        ("--ceiling", "ceiling", 20, "direct"),
+        ("--block-ceiling", "block_ceiling", 5, "block"),
+    ])
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_det_bench_and_verify_all_agree(
+        self, capsys, flag, keyword, bound, method, below
+    ):
+        limit = str(bound - below)
+        everything = {"direct", "block", "resultant", "closed_form"}
+        expected = everything - {method} if below else everything
+
+        code, out, _ = run_cli(capsys, "det", "4", "5", flag, limit, "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert {k for k, v in results.items() if v is not None} == expected
+
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "4x5", flag, limit)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        library = {"closed": "closed_form"}
+        ran = {library.get(r[2], r[2]) for r in rows if r[3] == "ok"}
+        skipped = {library.get(r[2], r[2]) for r in rows if r[3] == "skipped (ceiling)"}
+        assert ran == expected
+        assert skipped == everything - expected
+
+        report = det_methods.verify_all(4, 5, **{keyword: bound - below})
+        assert set(report.results()) == expected
+        assert set(report.elapsed) == expected
+
+
 class TestEntryPoints:
     def test_module_execution(self):
         proc = subprocess.run(

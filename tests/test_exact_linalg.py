@@ -14,8 +14,6 @@ from boxdet.exact_linalg import (
     IntMatrix,
     bareiss_det,
     cofactor_det,
-    matrix_from_json,
-    matrix_to_json,
     sylvester_matrix,
 )
 from boxdet.graphs import adjacency_matrix, box_product, path
@@ -202,14 +200,3 @@ class TestSylvester:
         g = X**2 + 3 * X - 1
         assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
 
-
-class TestJsonForms:
-    def test_round_trip_frozen(self):
-        m = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert matrix_from_json(matrix_to_json(m)) == m
-
-    def test_round_trip_random(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            m = random_matrix(rng, rng.randint(1, 5), -(10**12), 10**12)
-            assert matrix_from_json(matrix_to_json(m)) == m

@@ -1,4 +1,4 @@
-"""Graph layer: paths, box products, adjacency matrices, text round trips."""
+"""Graph layer: paths, box products, adjacency matrices."""
 from __future__ import annotations
 
 import pytest
@@ -8,8 +8,6 @@ from boxdet.graphs import (
     Graph,
     adjacency_matrix,
     box_product,
-    graph_from_text,
-    graph_to_text,
     path,
 )
 
@@ -132,20 +130,3 @@ class TestAdjacencyMatrix:
                             expected = [[0] * m for _ in range(m)]
                         assert [list(row) for row in block] == expected
 
-
-class TestTextForm:
-    def test_frozen_output(self):
-        text = graph_to_text(box_product(path(2), path(2)))
-        assert text == "4\n1 2\n1 3\n2 4\n3 4\n"
-
-    def test_round_trip(self):
-        for g in (path(1), path(5), box_product(path(3), path(4))):
-            assert graph_from_text(graph_to_text(g)) == g
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            graph_from_text("not a number\n")
-        with pytest.raises(ValueError):
-            graph_from_text("2\n1\n")
-        with pytest.raises(ValueError):
-            graph_from_text("2\n1 3\n")
