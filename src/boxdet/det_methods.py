@@ -3,9 +3,9 @@ algebraic identity suite that justifies them.
 
 The routes, for the grid graph P_n box P_m:
 
-* direct: assemble the nm x nm adjacency matrix with the shorter path
-  varying fastest, so its bandwidth is min(n, m), and Bareiss-eliminate
-  inside that band, about nm * min(n, m)**2 steps.
+* direct: assemble the adjacency matrix's band, of width min(n, m), from
+  the grid's edges and Bareiss-eliminate inside it, about
+  nm * min(n, m)**2 steps; no nm x nm matrix is built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) comes from the
@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .exact_linalg import IntMatrix, bareiss_det
-from .graphs import adjacency_matrix, box_product, path
+from .exact_linalg import bareiss_band_det
+from .graphs import adjacency_band, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
@@ -118,32 +118,36 @@ class IdentityReport:
 
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
-    """Bareiss determinant of the literally assembled grid adjacency matrix.
+    """Bareiss determinant of the grid adjacency matrix, assembled literally
+    from the grid's edges, as its band.
 
     The longer path is the outer factor, so vertex (i, j) of the grid gets
-    label (i-1)*min(n, m) + j and the matrix has bandwidth min(n, m), which
-    banded elimination exploits.  Swapping the factors only relabels
-    vertices, a permutation similarity, so the determinant is unchanged.
+    label (i-1)*min(n, m) + j and the matrix has bandwidth min(n, m); the
+    band holds about nm * min(n, m) entries.  Swapping the factors only
+    relabels vertices, a permutation similarity, so the determinant is
+    unchanged.
     """
     _require_positive(n=n, m=m)
     if n * m > ceiling:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    return bareiss_det(
-        adjacency_matrix(box_product(path(max(n, m)), path(min(n, m))))
+    return bareiss_band_det(
+        *adjacency_band(box_product(path(max(n, m)), path(min(n, m))))
     )
 
 
-def block_matrix(n: int, m: int) -> IntMatrix:
+def block_matrix(n: int, m: int) -> tuple[int, list[list[int]]]:
     """q_n(-B) for the m-path adjacency matrix B, by Q_{-1} = 0, Q_0 = I and
-    Q_k = B Q_{k-1} - Q_{k-2}.
+    Q_k = B Q_{k-1} - Q_{k-2}, as ``(width, rows)``: no nonzero entry of the
+    m x m ``rows`` lies more than ``width`` off the diagonal.
 
     B is tridiagonal with unit off-diagonals, so row i of B Q is the sum of
     rows i-1 and i+1 of Q: each step is O(m^2) additions.  The sequence has
     period 2(m+1), so only r = n mod 2(m+1) matters, and for r > m the shift
     identity Q_r = -Q_{2m-r} (with Q_{-1} = 0) leaves at most m steps.  The
     recurrence is linear, so starting from Q_0 = -I yields the negation.
+    Q_s is a degree-s polynomial in B, so ``width`` is |s|, at least 1.
     """
     steps = n % (2 * (m + 1))
     unit = 1
@@ -158,19 +162,23 @@ def block_matrix(n: int, m: int) -> IntMatrix:
             list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
             for i in range(m)
         ]
-    return IntMatrix.from_rows(cur if steps >= 0 else prev)
+    return max(abs(steps), 1), cur if steps >= 0 else prev
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     """Block reduction: determinant of q_n evaluated at minus the m-path
     adjacency matrix, an m x m determinant after at most m recurrence
-    steps whatever n is."""
+    steps whatever n is, eliminated inside the band :func:`block_matrix`
+    reports."""
     _require_positive(n=n, m=m)
     if m > ceiling:
         raise SizeLimitError(
             f"path size {m} exceeds the block-method ceiling of {ceiling}"
         )
-    return bareiss_det(block_matrix(n, m))
+    width, rows = block_matrix(n, m)
+    return bareiss_band_det(
+        width, [row[max(0, i - width) : i + width + 1] for i, row in enumerate(rows)]
+    )
 
 
 def det_resultant(n: int, m: int) -> int:

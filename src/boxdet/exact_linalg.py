@@ -1,11 +1,12 @@
 """Arbitrary-precision integer matrices and exact determinants.
 
 Two independent determinant routes are deliberately kept side by side:
-:func:`bareiss_det` (fraction-free elimination kept inside the matrix's
-band, the production engine) and :func:`cofactor_det` (first-row
-expansion, a small brute-force oracle capped at size 10).  Every exact
-division inside Bareiss is checked; a nonzero remainder means a logic bug
-and raises immediately instead of corrupting the result.
+:func:`bareiss_band_det` (fraction-free elimination on band rows, the
+production engine, with :func:`bareiss_det` reading the band from a dense
+matrix) and :func:`cofactor_det` (first-row expansion, a small brute-force
+oracle capped at size 10).  Every exact division inside Bareiss is checked;
+a nonzero remainder means a logic bug and raises immediately instead of
+corrupting the result.
 """
 from __future__ import annotations
 
@@ -37,139 +38,109 @@ class IntMatrix:
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(row) for row in rows))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
-    def zeros(n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(n)))
-
     @property
     def size(self) -> int:
         return len(self.rows)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.rows))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return IntMatrix(tuple(tuple(a * scalar for a in row) for row in self.rows))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
 
 def bareiss_det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (two-step) elimination, kept inside
-    the matrix's band.
-
-    Intermediate entries are minors of the input, so they stay integral and
-    growth is bounded; each elimination step divides by the previous pivot
-    exactly.  A zero pivot is repaired by swapping with the first nonzero
-    entry below it (flipping the sign); if the whole column is zero the
-    determinant is zero.  Row swaps are mandatory here, not an edge case:
-    adjacency matrices have zero diagonals.
-
-    The band is read from the matrix: with lower bandwidth ``low`` (at
-    least 1), only rows k+1..k+low can be nonzero in column k, so step k
-    touches only that window.  A row below the window has never been
-    eliminated, and its Bareiss value is its input times the previous
-    pivot, so it waits unscaled and is multiplied once when it enters.
-    Each row keeps its rightmost nonzero column (swapped with the row), and
-    an update stops there, since every entry past it stays 0.  A row with
-    no entry in the pivot column is only scaled by pivot / prev, so it is
-    left alone when the two are equal.  A matrix of size N with both
-    bandwidths b costs O(N b^2) steps; a full one costs what dense
-    elimination does.
-    """
+    """Exact determinant by :func:`bareiss_band_det` on the band read from
+    the matrix: ``low`` is the farthest any nonzero entry lies below the
+    diagonal (at least 1), and each row runs to its last nonzero entry."""
     n = m.size
-    a = [list(row) for row in m.rows]
     low = 1
     right = [-1] * n
-    for i, row in enumerate(a):
+    for i, row in enumerate(m.rows):
         nonzero = list(compress(range(n), row))
         if nonzero:
             low = max(low, i - nonzero[0])
             right[i] = nonzero[-1]
+    return bareiss_band_det(
+        low, [list(row[max(0, i - low) : right[i] + 1]) for i, row in enumerate(m.rows)]
+    )
+
+
+def bareiss_band_det(low: int, a: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (two-step) elimination of a band
+    matrix, given as its lower bandwidth ``low`` >= 1 and its rows.
+
+    Row i (there is at least one) is a list whose first entry is column
+    max(0, i - low), as in LAPACK band storage, and which ends anywhere at
+    or past the row's last nonzero entry, even empty or left of the
+    diagonal.  Elimination rewrites the rows in place.
+
+    Intermediate entries are minors of the input, so they stay integral and
+    growth is bounded; each elimination step divides by the previous pivot
+    exactly.  A zero pivot is repaired by swapping with the first nonzero
+    entry below it (flipping the sign, and swapping the rows' first
+    columns); if the whole column is zero the determinant is zero.  Row
+    swaps are mandatory here, not an edge case: adjacency matrices have
+    zero diagonals.
+
+    Only rows k+1..k+low can be nonzero in column k, so step k touches only
+    that window.  A row below the window has never been eliminated, and its
+    Bareiss value is its input times the previous pivot, so it waits
+    unscaled and is multiplied once when it enters.  An update runs to the
+    farther of the two rows' right ends, the shorter one padded with zeros
+    so that both are zipped whole.  A row with no entry in the pivot column is only scaled by
+    pivot / prev: it is left alone when the two are equal, and multiplied
+    by the quotient when prev divides pivot, as when pivots of -1 and 1
+    alternate in ``det_block``'s matrices.  A matrix of size N with both
+    bandwidths b costs O(N b^2) steps and O(N b) memory.
+    """
+    n = len(a)
+    first = [max(0, i - low) for i in range(n)]  # column of each row's entry 0
     sign = 1
     prev = 1
     for k in range(n - 1):
         last = min(k + low, n - 1)
         if k + low < n and prev != 1:  # row k + low enters the window
-            entering = a[last]
-            entering[k : right[last] + 1] = [
-                x * prev for x in entering[k : right[last] + 1]
-            ]
-        if a[k][k] == 0:
+            a[last][:] = [x * prev for x in a[last]]
+        j = k - first[k]
+        if j >= len(a[k]) or not a[k][j]:
             for i in range(k + 1, last + 1):
-                if a[i][k]:
+                j = k - first[i]
+                if j < len(a[i]) and a[i][j]:
                     a[k], a[i] = a[i], a[k]
-                    right[k], right[i] = right[i], right[k]
+                    first[k], first[i] = first[i], first[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot_row = a[k]
-        pivot = pivot_row[k]
+        j = k - first[k]
+        pivot = a[k][j]
+        tail = a[k][j + 1 :]
+        ratio, rem = divmod(pivot, prev)
         for i in range(k + 1, last + 1):
             row = a[i]
-            factor = row[k]
+            j = k - first[i]
+            factor = row[j] if j < len(row) else 0
             if factor:
-                right[i] = max(right[k], right[i])
-                nums = [
-                    x * pivot - factor * y
-                    for x, y in zip(
-                        row[k + 1 : right[i] + 1], pivot_row[k + 1 : right[i] + 1]
-                    )
-                ]
+                gap = len(tail) - (len(row) - j - 1)
+                if gap > 0:
+                    row += [0] * gap
+                elif gap < 0:
+                    tail += [0] * -gap
+                nums = [x * pivot - factor * y for x, y in zip(row[j + 1 :], tail)]
             elif pivot == prev:
                 continue  # the row would be scaled by pivot / prev = 1
+            elif not rem:  # prev divides pivot, so no entry needs dividing
+                row[j + 1 :] = [x * ratio for x in row[j + 1 :]]
+                continue
             else:
-                nums = [x * pivot for x in row[k + 1 : right[i] + 1]]
+                nums = [x * pivot for x in row[j + 1 :]]
             if prev != 1:
-                for j, num in enumerate(nums):
+                for col, num in enumerate(nums):
                     q, r = divmod(num, prev)
                     if r:
                         raise ArithmeticError(
                             f"inexact division at step {k}: {num} by {prev}"
                         )
-                    nums[j] = q
-            row[k + 1 : right[i] + 1] = nums
+                    nums[col] = q
+            row[j + 1 :] = nums
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    j = n - 1 - first[n - 1]
+    return sign * a[n - 1][j] if j < len(a[n - 1]) else 0
 
 
 def cofactor_det(m: IntMatrix) -> int:

@@ -1,7 +1,7 @@
-"""Paths, box products, and adjacency matrices.
+"""Paths, box products, and adjacency matrices, dense or as a band.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when an adjacency matrix is emitted.
+only when an adjacency matrix or band is emitted.
 """
 from __future__ import annotations
 
@@ -34,13 +34,6 @@ class Graph:
                 )
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
 
 
 def path(n: int) -> Graph:
@@ -77,3 +70,24 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
         rows[u - 1][v - 1] = 1
         rows[v - 1][u - 1] = 1
     return IntMatrix.from_rows(rows)
+
+
+def adjacency_band(g: Graph) -> tuple[int, list[list[int]]]:
+    """The adjacency matrix as ``(low, rows)`` for
+    :func:`~boxdet.exact_linalg.bareiss_band_det`, built from the edges with
+    no dense row: ``low`` is the largest label difference of an edge (at
+    least 1), and row i runs from column max(0, i - low) to the vertex's
+    last neighbour, empty if it has none."""
+    low = max((v - u for u, v in g.edges), default=1)
+    starts = [max(0, i - low) for i in range(g.n_vertices)]
+    ends = starts[:]  # one past each row's last neighbour
+    for u, v in g.edges:
+        if v > ends[u - 1]:
+            ends[u - 1] = v
+        if u > ends[v - 1]:
+            ends[v - 1] = u
+    rows = [[0] * (end - start) for start, end in zip(starts, ends)]
+    for u, v in g.edges:
+        rows[u - 1][v - 1 - starts[u - 1]] = 1
+        rows[v - 1][u - 1 - starts[v - 1]] = 1
+    return low, rows

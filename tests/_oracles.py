@@ -8,9 +8,11 @@ double-loop convolution (the check on the zero-skipping product and on
 square-and-multiply), pseudo-remainders come from dense
 schoolbook pseudo-division that rescales the whole dividend at every step
 (the check on the windowed routine), polynomials are evaluated at a matrix
-by Horner's rule over their coefficients (the check on the block method's
-matrix recurrence), determinants come from dense Bareiss elimination over
-every row and column (the check on the banded production routine),
+by Horner's rule over their coefficients with plain list-of-rows sums and
+products (the check on the block method's matrix recurrence), determinants
+come from dense Bareiss elimination over every row and column (the check
+on the banded production routine), bands are read from dense matrices
+entry by entry (the check on the band built from a graph's edges),
 eigenvalues come from the known path-spectrum cosine formula, and random
 matrices are drawn from a seeded generator.
 """
@@ -115,19 +117,39 @@ def repeated_power(p: IntPoly, a: int) -> IntPoly:
     return result
 
 
-def matpoly_eval(p: IntPoly, b: IntMatrix) -> IntMatrix:
-    """Evaluate an integer polynomial at a square integer matrix.
+def identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def add_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Entrywise sum of two matrices given as lists of rows."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def scale_rows(c: int, a: list[list[int]]) -> list[list[int]]:
+    return [[c * x for x in row] for row in a]
+
+
+def mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Matrix product by the row-times-column definition."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def matpoly_eval(p: IntPoly, b: list[list[int]]) -> list[list[int]]:
+    """Evaluate an integer polynomial at a square integer matrix, both the
+    matrix and the result given as lists of rows.
 
     Horner's rule: deg(p) matrix multiplications, all exact.  The constant
     term scales the identity (b**0 == I by convention).
     """
-    n = b.size
+    n = len(b)
     if p.is_zero:
-        return IntMatrix.zeros(n)
-    eye = IntMatrix.identity(n)
-    result = eye * p.coeffs[-1]
+        return scale_rows(0, identity_rows(n))
+    eye = identity_rows(n)
+    result = scale_rows(p.coeffs[-1], eye)
     for c in reversed(p.coeffs[:-1]):
-        result = result @ b + eye * c
+        result = add_rows(mul_rows(result, b), scale_rows(c, eye))
     return result
 
 
@@ -182,6 +204,18 @@ def dense_bareiss_det(m: IntMatrix) -> int:
                     row[j] *= pivot
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def dense_band(m: IntMatrix) -> tuple[int, list[list[int]]]:
+    """The band of a dense matrix read entry by entry: the farthest any
+    nonzero entry lies below the diagonal (at least 1), and each row from
+    column max(0, i - low) to its last nonzero entry, empty if it has none."""
+    nonzero = [[j for j, x in enumerate(row) if x] for row in m.rows]
+    low = max([1] + [i - cols[0] for i, cols in enumerate(nonzero) if cols])
+    return low, [
+        list(row[max(0, i - low) : cols[-1] + 1]) if cols else []
+        for i, (row, cols) in enumerate(zip(m.rows, nonzero))
+    ]
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:

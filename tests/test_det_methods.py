@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import grid_eigenvalue_product, matpoly_eval
+from _oracles import grid_eigenvalue_product, matpoly_eval, scale_rows
 from boxdet.det_methods import (
     DetReport,
     IdentityReport,
@@ -28,7 +28,7 @@ from boxdet.det_methods import (
     identity_suite,
     verify_all,
 )
-from boxdet.exact_linalg import bareiss_det
+from boxdet.exact_linalg import IntMatrix, bareiss_det
 from boxdet.graphs import adjacency_matrix, box_product, path
 from boxdet.polynomials import ONE, path_charpoly
 
@@ -92,11 +92,26 @@ class TestBlockRecurrence:
         """n runs over two full periods 2(m+1), so the reduced step count
         n mod 2(m+1) is checked on both sides of every wrap, 0 included."""
         for m in range(1, 13):
-            minus_b = -adjacency_matrix(path(m))
+            minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
-                assert block_matrix(n, m) == horner, (n, m)
-                assert det_block(n, m) == bareiss_det(horner), (n, m)
+                assert block_matrix(n, m)[1] == horner, (n, m)
+                assert det_block(n, m) == bareiss_det(IntMatrix.from_rows(horner)), (n, m)
+
+    def test_width_bounds_every_entry(self):
+        """det_block hands the elimination only the band of q_n(-B), so no
+        nonzero entry may lie farther off the diagonal than the reported
+        width, which is the folded step count |s| (at least 1): Q_s is a
+        degree-|s| polynomial in the tridiagonal B."""
+        for m in range(1, 13):
+            for n in range(1, 4 * (m + 1)):
+                r = n % (2 * (m + 1))
+                steps = r if r <= m else 2 * m - r
+                width, rows = block_matrix(n, m)
+                assert width == max(1, abs(steps)), (n, m)
+                for i, row in enumerate(rows):
+                    for j, x in enumerate(row):
+                        assert not x or abs(i - j) <= width, (n, m, i, j)
 
     @given(st.integers(1, 10**12), st.integers(1, 20))
     def test_agrees_with_closed_form_at_any_n(self, n, m):
@@ -130,6 +145,24 @@ class TestDirectBand:
         assert det_direct(100, 20, ceiling=2000) == det_closed_form(100, 20)
         assert det_direct(20, 100, ceiling=2000) == det_closed_form(20, 100)
         assert time.perf_counter() - start < 10.0
+
+    def test_long_strip_memory_and_time(self):
+        """5 x 2000, far past the default ceiling: the band holds about
+        nm * min(n, m) entries where the dense matrix would hold (nm)**2.
+        Both orientations build the same band; memory is traced apart from
+        the timing, since tracing every allocation slows the run tenfold."""
+        start = time.perf_counter()
+        assert det_direct(5, 2000, ceiling=10**4) == det_closed_form(5, 2000)
+        assert det_direct(2000, 5, ceiling=10**4) == det_closed_form(2000, 5)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            det_direct(5, 2000, ceiling=10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0
+        assert peak < 32 * 2**20
 
     def test_orientation_does_not_change_the_value(self):
         for n in range(1, 13):
@@ -188,7 +221,8 @@ class TestAgreement:
         for n in range(1, 9):
             for m in range(1, 9):
                 assembled = adjacency_matrix(box_product(path(n), path(m)))
-                reduced = matpoly_eval(path_charpoly(n), -adjacency_matrix(path(m)))
+                minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
+                reduced = IntMatrix.from_rows(matpoly_eval(path_charpoly(n), minus_b))
                 assert bareiss_det(reduced) == bareiss_det(assembled), (n, m)
 
     def test_resultant_bridge_against_direct_assembly(self):

@@ -1,5 +1,5 @@
 """Exact matrix layer: Bareiss vs cofactor and vs dense elimination, the
-Horner oracle, Sylvester."""
+band core on band rows, the Horner oracle, Sylvester."""
 from __future__ import annotations
 
 import random
@@ -8,10 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_bareiss_det, matpoly_eval, random_matrix
+from _oracles import (
+    add_rows,
+    dense_band,
+    dense_bareiss_det,
+    identity_rows,
+    matpoly_eval,
+    mul_rows,
+    random_matrix,
+    scale_rows,
+)
 from boxdet.exact_linalg import (
     COFACTOR_SIZE_LIMIT,
     IntMatrix,
+    bareiss_band_det,
     bareiss_det,
     cofactor_det,
     sylvester_matrix,
@@ -48,13 +58,29 @@ def banded_matrices(draw):
     return IntMatrix.from_rows(rows)
 
 
+@st.composite
+def band_inputs(draw):
+    """A matrix from banded_matrices() with band rows for the core: ``low``
+    at or above the matrix's lower bandwidth, and each row stored from
+    column max(0, i - low) to its last nonzero entry plus 0-2 stored zeros.
+    So zero rows are often stored empty, rows whose entries stop left of
+    the diagonal are stored shorter than the band, and a swap often trades
+    rows of different lengths."""
+    m = draw(banded_matrices())
+    low = dense_band(m)[0] + draw(st.integers(0, 2))
+    rows = []
+    for i, row in enumerate(m.rows):
+        start = max(0, i - low)
+        end = max([start] + [j + 1 for j, x in enumerate(row) if x])
+        rows.append(list(row[start : end + draw(st.integers(0, 2))]))
+    return m, low, rows
+
+
 class TestIntMatrix:
     def test_constructors(self):
-        eye = IntMatrix.identity(3)
-        assert eye.size == 3
-        assert eye.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert IntMatrix.zeros(2).rows == ((0, 0), (0, 0))
-        assert IntMatrix.from_rows([[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert m.size == 2
+        assert m.rows == ((1, 2), (3, 4))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,27 +90,10 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
-    def test_arithmetic(self):
-        a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        b = IntMatrix.from_rows([[0, 1], [1, 0]])
-        eye = IntMatrix.identity(2)
-        assert a + b == IntMatrix.from_rows([[1, 3], [4, 4]])
-        assert a - a == IntMatrix.zeros(2)
-        assert -a == IntMatrix.from_rows([[-1, -2], [-3, -4]])
-        assert 2 * a == a + a
-        assert a @ eye == a
-        assert eye @ a == a
-        assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
-
-    def test_matmul_associativity_instance(self):
-        rng = random.Random(7)
-        a, b, c = (random_matrix(rng, 4) for _ in range(3))
-        assert (a @ b) @ c == a @ (b @ c)
-
 
 class TestDeterminants:
     def test_frozen_examples(self):
-        assert bareiss_det(IntMatrix.identity(5)) == 1
+        assert bareiss_det(IntMatrix.from_rows(identity_rows(5))) == 1
         assert bareiss_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
         assert bareiss_det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
         four_cycle = IntMatrix.from_rows(
@@ -99,7 +108,7 @@ class TestDeterminants:
     def test_zero_pivot_needs_row_swap(self):
         m = IntMatrix.from_rows([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
         assert bareiss_det(m) == cofactor_det(m) == 30
-        assert bareiss_det(IntMatrix.zeros(3)) == 0
+        assert bareiss_det(IntMatrix.from_rows([[0] * 3] * 3)) == 0
 
     def test_cofactor_validates_bareiss_on_random_matrices(self):
         rng = random.Random(20260815)
@@ -114,16 +123,18 @@ class TestDeterminants:
             size = rng.randint(1, 6)
             a = random_matrix(rng, size, -4, 4)
             b = random_matrix(rng, size, -4, 4)
-            assert bareiss_det(a @ b) == bareiss_det(a) * bareiss_det(b)
+            product = IntMatrix.from_rows(mul_rows(a.rows, b.rows))
+            assert bareiss_det(product) == bareiss_det(a) * bareiss_det(b)
 
     def test_scalar_scaling_law(self):
         rng = random.Random(3)
         for size in (1, 2, 3, 4):
             m = random_matrix(rng, size)
-            assert bareiss_det(3 * m) == 3**size * bareiss_det(m)
+            tripled = IntMatrix.from_rows(scale_rows(3, m.rows))
+            assert bareiss_det(tripled) == 3**size * bareiss_det(m)
 
     def test_cofactor_size_guard(self):
-        big = IntMatrix.identity(COFACTOR_SIZE_LIMIT + 1)
+        big = IntMatrix.from_rows(identity_rows(COFACTOR_SIZE_LIMIT + 1))
         with pytest.raises(ValueError, match=str(COFACTOR_SIZE_LIMIT)):
             cofactor_det(big)
 
@@ -147,32 +158,54 @@ class TestDeterminants:
     def test_banded_agrees_with_dense_elimination(self, m):
         assert bareiss_det(m) == dense_bareiss_det(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(band_inputs())
+    # one empty row: the whole matrix is zero
+    @example((IntMatrix.from_rows([[0]]), 1, [[]]))
+    # rows 1 and 2 end left of the diagonal: a permutation matrix
+    @example((IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 1, [[0, 0, 1], [1], [1]]))
+    # the zero pivot of a long row swaps with a row of length 1
+    @example(
+        (
+            IntMatrix.from_rows([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
+            1,
+            [[0, 1, 0, 5], [1], [1, 1], [1, 1]],
+        )
+    )
+    # the last row ends left of the diagonal, so its final entry is 0
+    @example((IntMatrix.from_rows([[1, 0], [1, 0]]), 1, [[1], [1]]))
+    # a row whose last stored entry is the one in the pivot column
+    @example((IntMatrix.from_rows([[1, 1], [1, 0]]), 1, [[1, 1], [1]]))
+    def test_band_core_agrees_with_dense_elimination(self, case):
+        m, low, rows = case
+        assert bareiss_band_det(low, rows) == dense_bareiss_det(m)
+
 
 class TestMatpolyEval:
     def test_frozen_examples(self):
-        b = adjacency_matrix(path(2))
+        b = adjacency_matrix(path(2)).rows
+        minus_b = scale_rows(-1, b)
         # q_2 = x^2 - 1 at -A(P_2): (-A)^2 - I = 0
-        assert matpoly_eval(path_charpoly(2), -b) == IntMatrix.zeros(2)
+        assert matpoly_eval(path_charpoly(2), minus_b) == [[0, 0], [0, 0]]
         # q_1 = -x at -A(P_2) gives A(P_2) back
-        assert matpoly_eval(path_charpoly(1), -b) == b
-        assert matpoly_eval(X, b) == b
-        assert matpoly_eval(ONE, b) == IntMatrix.identity(2)
-        assert matpoly_eval(ZERO, b) == IntMatrix.zeros(2)
-        assert matpoly_eval(IntPoly((7,)), b) == 7 * IntMatrix.identity(2)
+        assert matpoly_eval(path_charpoly(1), minus_b) == [list(row) for row in b]
+        assert matpoly_eval(X, b) == [[0, 1], [1, 0]]
+        assert matpoly_eval(ONE, b) == [[1, 0], [0, 1]]
+        assert matpoly_eval(ZERO, b) == [[0, 0], [0, 0]]
+        assert matpoly_eval(IntPoly((7,)), b) == [[7, 0], [0, 7]]
 
     def test_evaluation_is_a_ring_homomorphism(self):
         rng = random.Random(41)
         for _ in range(30):
-            b = random_matrix(rng, rng.randint(1, 5), -3, 3)
+            b = random_matrix(rng, rng.randint(1, 5), -3, 3).rows
             p = IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))))
             q = IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))))
-            assert matpoly_eval(p + q, b) == matpoly_eval(p, b) + matpoly_eval(q, b)
-            assert matpoly_eval(p * q, b) == matpoly_eval(p, b) @ matpoly_eval(q, b)
+            assert matpoly_eval(p + q, b) == add_rows(matpoly_eval(p, b), matpoly_eval(q, b))
+            assert matpoly_eval(p * q, b) == mul_rows(matpoly_eval(p, b), matpoly_eval(q, b))
 
     def test_matches_scalar_evaluation_on_diagonal_input(self):
-        d = IntMatrix.from_rows([[2, 0], [0, -3]])
         p = X**3 - 4 * X + 1
-        assert matpoly_eval(p, d) == IntMatrix.from_rows([[p(2), 0], [0, p(-3)]])
+        assert matpoly_eval(p, [[2, 0], [0, -3]]) == [[p(2), 0], [0, p(-3)]]
 
 
 class TestSylvester:

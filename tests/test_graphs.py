@@ -1,11 +1,13 @@
-"""Graph layer: paths, box products, adjacency matrices."""
+"""Graph layer: paths, box products, adjacency matrices and bands."""
 from __future__ import annotations
 
 import pytest
 
+from _oracles import dense_band
 from boxdet.exact_linalg import IntMatrix
 from boxdet.graphs import (
     Graph,
+    adjacency_band,
     adjacency_matrix,
     box_product,
     path,
@@ -15,11 +17,9 @@ from boxdet.graphs import (
 class TestGraph:
     def test_edge_normalization(self):
         g = Graph(3, frozenset({(2, 1), (3, 2)}))
-        assert g.has_edge(1, 2)
-        assert g.has_edge(2, 1)
-        assert g.has_edge(2, 3)
-        assert not g.has_edge(1, 3)
-        assert g.n_edges == 2
+        assert g.edges == frozenset({(1, 2), (2, 3)})
+        assert (1, 3) not in g.edges
+        assert len(g.edges) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -35,13 +35,13 @@ class TestGraph:
 class TestPath:
     def test_examples(self):
         p1 = path(1)
-        assert p1.n_vertices == 1 and p1.n_edges == 0
+        assert p1.n_vertices == 1 and len(p1.edges) == 0
         p2 = path(2)
-        assert p2.has_edge(1, 2)
+        assert (1, 2) in p2.edges
         p4 = path(4)
         assert p4.edges == frozenset({(1, 2), (2, 3), (3, 4)})
         for n in range(1, 12):
-            assert path(n).n_edges == n - 1
+            assert len(path(n).edges) == n - 1
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -66,12 +66,12 @@ class TestBoxProduct:
             for m in range(1, 7):
                 g = box_product(path(n), path(m))
                 assert g.n_vertices == n * m
-                assert g.n_edges == n * (m - 1) + m * (n - 1)
+                assert len(g.edges) == n * (m - 1) + m * (n - 1)
 
     def test_three_by_four_size(self):
         g = box_product(path(3), path(4))
         assert g.n_vertices == 12
-        assert g.n_edges == 17
+        assert len(g.edges) == 17
 
     def test_single_vertex_is_an_identity(self):
         assert box_product(path(1), path(2)) == path(2)
@@ -103,7 +103,7 @@ class TestAdjacencyMatrix:
             for m in range(1, 6):
                 g = box_product(path(n), path(m))
                 a = adjacency_matrix(g)
-                assert sum(sum(row) for row in a.rows) == 2 * g.n_edges
+                assert sum(sum(row) for row in a.rows) == 2 * len(g.edges)
 
     def test_block_structure(self):
         """The product's adjacency matrix, read as n x n blocks of size m,
@@ -130,3 +130,15 @@ class TestAdjacencyMatrix:
                             expected = [[0] * m for _ in range(m)]
                         assert [list(row) for row in block] == expected
 
+
+
+class TestAdjacencyBand:
+    def test_is_the_band_of_the_adjacency_matrix(self):
+        graphs = [box_product(path(n), path(m)) for n in range(1, 9) for m in range(1, 9)]
+        graphs += [path(n) for n in range(1, 20)]
+        graphs.append(Graph(6, frozenset({(1, 5), (2, 3), (3, 6)})))
+        for g in graphs:
+            assert adjacency_band(g) == dense_band(adjacency_matrix(g)), g
+
+    def test_single_vertex_is_one_empty_row(self):
+        assert adjacency_band(path(1)) == (1, [[]])
