@@ -8,11 +8,10 @@ The routes, for the grid graph P_n box P_m:
   nm * min(n, m)**2 steps; no nm x nm matrix is built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
-  adjacency matrix over the ring generated by B.  q_n(-B) comes from the
-  matrix form of the path recurrence, Q_k = B Q_{k-1} - Q_{k-2}, run for
-  at most m steps: Q_m = 0 (Cayley-Hamilton plus parity) and the shift
-  identity Q_{m+j} = -Q_{m-j} make the sequence periodic with period
-  2(m+1) and fold its second half onto the first.
+  adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
+  from its closed form (the method of images), after n folds onto a step
+  count s in -1..m; it splits by parity into two half-size bands, each
+  eliminated in about (m/2) * (s/2)**2 steps, whatever n is.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from operator import add, sub
 
 from .exact_linalg import bareiss_band_det
 from .graphs import adjacency_band, box_product, path
@@ -137,48 +135,57 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     )
 
 
-def block_matrix(n: int, m: int) -> tuple[int, list[list[int]]]:
-    """q_n(-B) for the m-path adjacency matrix B, by Q_{-1} = 0, Q_0 = I and
-    Q_k = B Q_{k-1} - Q_{k-2}, as ``(width, rows)``: no nonzero entry of the
-    m x m ``rows`` lies more than ``width`` off the diagonal.
+def block_bands(
+    n: int, m: int
+) -> tuple[int, int, tuple[list[list[int]], list[list[int]]]]:
+    """q_n(-B) for the m-path adjacency matrix B, written down from its
+    closed form as two parity halves ``(s, low, (odd, even))``.
 
-    B is tridiagonal with unit off-diagonals, so row i of B Q is the sum of
-    rows i-1 and i+1 of Q: each step is O(m^2) additions.  The sequence has
-    period 2(m+1), so only r = n mod 2(m+1) matters, and for r > m the shift
-    identity Q_r = -Q_{2m-r} (with Q_{-1} = 0) leaves at most m steps.  The
-    recurrence is linear, so starting from Q_0 = -I yields the negation.
-    Q_s is a degree-s polynomial in B, so ``width`` is |s|, at least 1.
+    n folds onto s in -1..m and a sign ``unit``, since q_k(-B) has period
+    2(m+1) in k and Q_{m+j} = -Q_{m-j}.  By the method of images, entry
+    (i, j), 1-based, is ``unit`` when j = i + s (mod 2) and
+    max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else 0.  ``odd``
+    holds the rows of odd i and ``even`` those of even i, over the columns
+    of parity i + s, column j at half column (j - 1) // 2.  Each row is one
+    run of ``unit`` in band storage of lower width ``low`` =
+    max(1, ceil(s/2)), since |i - j| <= s.
     """
-    steps = n % (2 * (m + 1))
+    s = n % (2 * (m + 1))
     unit = 1
-    if steps > m:
-        steps, unit = 2 * m - steps, -1
-    zero = [0] * m
-    prev = [zero] * m
-    cur = [[unit if i == j else 0 for j in range(m)] for i in range(m)]
-    for _ in range(steps):
-        padded = [zero, *cur, zero]
-        prev, cur = cur, [
-            list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
-            for i in range(m)
-        ]
-    return max(abs(steps), 1), cur if steps >= 0 else prev
+    if s > m:
+        s, unit = 2 * m - s, -1
+    low = max(1, (s + 1) // 2)
+    halves: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for i in range(1, m + 1):
+        lo = max(i - s, s - i + 2)
+        hi = min(i + s, 2 * m - s - i)
+        start = max(0, (i - 1) // 2 - low)
+        zeros = (lo - 1) // 2 - start
+        # An empty run (lo > hi) asks for a nonpositive count: no units.
+        units = (hi + 1) // 2 - start - zeros
+        halves[(i - 1) % 2].append([0] * zeros + [unit] * units)
+    return s, low, halves
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
-    """Block reduction: determinant of q_n evaluated at minus the m-path
-    adjacency matrix, an m x m determinant after at most m recurrence
-    steps whatever n is, eliminated inside the band :func:`block_matrix`
-    reports."""
+    """Block reduction: det q_n(-B) from the halves of :func:`block_bands`.
+
+    With the odd indices first, q_n(-B) is diag(odd, even) for even s and
+    [[0, odd], [even, 0]] for odd s, which has the parity of n.  The latter
+    is singular when m is odd (it maps ceil(m/2) indices onto floor(m/2)),
+    and has determinant (-1)**(m/2) det(odd) det(even) when m is even.
+    """
     _require_positive(n=n, m=m)
     if m > ceiling:
         raise SizeLimitError(
             f"path size {m} exceeds the block-method ceiling of {ceiling}"
         )
-    width, rows = block_matrix(n, m)
-    return bareiss_band_det(
-        width, [row[max(0, i - width) : i + width + 1] for i, row in enumerate(rows)]
-    )
+    if n % 2 and m % 2:
+        return 0
+    _, low, halves = block_bands(n, m)
+    # The even half is empty only when m = 1; its determinant is 1.
+    det = math.prod(bareiss_band_det(low, rows) for rows in halves if rows)
+    return -det if n % 2 and (m // 2) % 2 else det
 
 
 def det_resultant(n: int, m: int) -> int:

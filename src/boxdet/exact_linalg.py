@@ -85,7 +85,7 @@ def bareiss_band_det(low: int, a: list[list[int]]) -> int:
     so that both are zipped whole.  A row with no entry in the pivot column is only scaled by
     pivot / prev: it is left alone when the two are equal, and multiplied
     by the quotient when prev divides pivot, as when pivots of -1 and 1
-    alternate in ``det_block``'s matrices.  A matrix of size N with both
+    alternate in ``det_block``'s half-bands.  A matrix of size N with both
     bandwidths b costs O(N b^2) steps and O(N b) memory.
     """
     n = len(a)

@@ -6,6 +6,7 @@ only when an adjacency matrix or band is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .exact_linalg import IntMatrix
 
@@ -22,18 +23,22 @@ class Graph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n_vertices}")
-        normalized = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
-                raise ValueError(
-                    f"edge ({u}, {v}) is outside 1..{self.n_vertices}"
-                )
-            normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        n = self.n_vertices
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        # Validate and normalise in one pass; unpacking rejects any edge
+        # that is not a pair.
+        edges = frozenset(
+            (u, v) if 0 < u < v <= n else (v, u) if 0 < v < u <= n else _reject(u, v, n)
+            for u, v in self.edges
+        )
+        object.__setattr__(self, "edges", edges)
+
+
+def _reject(u: int, v: int, n: int) -> NoReturn:
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    raise ValueError(f"edge ({u}, {v}) is outside 1..{n}")
 
 
 def path(n: int) -> Graph:

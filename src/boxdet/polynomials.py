@@ -55,13 +55,6 @@ class IntPoly:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
 
-    @staticmethod
-    def monomial(degree: int, coefficient: int = 1) -> "IntPoly":
-        """``coefficient * x**degree``."""
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return IntPoly((0,) * degree + (coefficient,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -136,13 +129,6 @@ class IntPoly:
             if not k:
                 return result
             base = base * base
-
-    def __call__(self, x):
-        """Evaluate at a scalar (int, float, ...) by Horner's rule."""
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
 
     def __str__(self) -> str:
         if not self.coeffs:

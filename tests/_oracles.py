@@ -9,7 +9,9 @@ square-and-multiply), pseudo-remainders come from dense
 schoolbook pseudo-division that rescales the whole dividend at every step
 (the check on the windowed routine), polynomials are evaluated at a matrix
 by Horner's rule over their coefficients with plain list-of-rows sums and
-products (the check on the block method's matrix recurrence), determinants
+products, q_k(-A(P_m)) also comes from the unfolded matrix recurrence
+Q_k = B Q_{k-1} - Q_{k-2} (both the check on the block method's closed-form
+parity halves, which are expanded back to a dense matrix here), determinants
 come from dense Bareiss elimination over every row and column (the check
 on the banded production routine), bands are read from dense matrices
 entry by entry (the check on the band built from a graph's edges),
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import add, sub
 
 from boxdet.exact_linalg import IntMatrix
 from boxdet.polynomials import ONE, ZERO, IntPoly
@@ -151,6 +154,45 @@ def matpoly_eval(p: IntPoly, b: list[list[int]]) -> list[list[int]]:
     for c in reversed(p.coeffs[:-1]):
         result = add_rows(mul_rows(result, b), scale_rows(c, eye))
     return result
+
+
+def recurrence_block_matrices(m: int):
+    """Q_0, Q_1, Q_2, ... with Q_k = q_k(-B) for the m-path adjacency matrix
+    B, as lists of rows, by Q_{-1} = 0, Q_0 = I and Q_k = B Q_{k-1} - Q_{k-2}.
+
+    B is tridiagonal with unit off-diagonals, so row i of B Q is the sum of
+    rows i-1 and i+1 of Q: each step is O(m^2) additions.  Nothing is
+    folded, so the period 2(m+1) and the shift identity are checked, not
+    assumed.
+    """
+    zero = [0] * m
+    prev = [zero] * m
+    cur = [[int(i == j) for j in range(m)] for i in range(m)]
+    while True:
+        yield cur
+        padded = [zero, *cur, zero]
+        prev, cur = cur, [
+            list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
+            for i in range(m)
+        ]
+
+
+def expand_block_bands(
+    s: int, low: int, halves: tuple[list[list[int]], list[list[int]]], m: int
+) -> list[list[int]]:
+    """The dense m x m matrix that :func:`boxdet.det_methods.block_bands`
+    describes: half h = 0 (odd) or 1 (even) holds the rows of 1-based i of
+    that parity, half row r is i = 2r + h + 1, and half column c, stored
+    from max(0, r - low), is the column j = 2c + 1 + (h + s) % 2.  A stored
+    entry outside 1..m raises IndexError."""
+    dense = [[0] * m for _ in range(m)]
+    for h, rows in enumerate(halves):
+        for r, row in enumerate(rows):
+            start = max(0, r - low)
+            for c, x in enumerate(row, start):
+                if x:
+                    dense[2 * r + h][2 * c + (h + s) % 2] = x
+    return dense
 
 
 def dense_bareiss_det(m: IntMatrix) -> int:

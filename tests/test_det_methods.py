@@ -1,6 +1,7 @@
 """The four determinant methods, their agreement, and the identity suite."""
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -9,12 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import grid_eigenvalue_product, matpoly_eval, scale_rows
+from _oracles import (
+    expand_block_bands,
+    grid_eigenvalue_product,
+    matpoly_eval,
+    recurrence_block_matrices,
+    scale_rows,
+)
 from boxdet.det_methods import (
+    DEFAULT_BLOCK_CEILING,
     DetReport,
     IdentityReport,
     SizeLimitError,
-    block_matrix,
+    block_bands,
     check_annihilation,
     check_power,
     check_product_n_plus_1,
@@ -88,30 +96,45 @@ class TestCeiling:
 
 
 class TestBlockRecurrence:
+    """The closed-form parity halves of q_n(-B) against the matrix
+    recurrence and Horner's rule, and det_block against the closed form."""
+
     def test_matches_horner_through_two_periods(self):
-        """n runs over two full periods 2(m+1), so the reduced step count
-        n mod 2(m+1) is checked on both sides of every wrap, 0 included."""
+        """n runs over two full periods 2(m+1), so the folded step count is
+        checked on both sides of every wrap, 0 included."""
         for m in range(1, 13):
             minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
-                assert block_matrix(n, m)[1] == horner, (n, m)
+                assert expand_block_bands(*block_bands(n, m), m) == horner, (n, m)
                 assert det_block(n, m) == bareiss_det(IntMatrix.from_rows(horner)), (n, m)
 
-    def test_width_bounds_every_entry(self):
-        """det_block hands the elimination only the band of q_n(-B), so no
-        nonzero entry may lie farther off the diagonal than the reported
-        width, which is the folded step count |s| (at least 1): Q_s is a
-        degree-|s| polynomial in the tridiagonal B."""
+    def test_matches_the_recurrence_up_to_the_default_ceiling(self):
+        for m in range(1, DEFAULT_BLOCK_CEILING + 1):
+            matrices = recurrence_block_matrices(m)
+            for n, expected in itertools.islice(enumerate(matrices), 1, 4 * (m + 1)):
+                assert expand_block_bands(*block_bands(n, m), m) == expected, (n, m)
+
+    def test_every_stored_entry_lies_in_its_half(self):
+        """Each half is stored as a band of lower width ``low`` =
+        max(1, ceil(s/2)) for the folded step count s: no stored entry lies
+        past the half's last column, and no nonzero one lies farther than
+        ``low`` from the half's diagonal on either side, since Q_s has
+        bandwidth |s|."""
         for m in range(1, 13):
             for n in range(1, 4 * (m + 1)):
-                r = n % (2 * (m + 1))
-                steps = r if r <= m else 2 * m - r
-                width, rows = block_matrix(n, m)
-                assert width == max(1, abs(steps)), (n, m)
-                for i, row in enumerate(rows):
-                    for j, x in enumerate(row):
-                        assert not x or abs(i - j) <= width, (n, m, i, j)
+                k = n % (2 * (m + 1))
+                s, low, halves = block_bands(n, m)
+                assert s == (k if k <= m else 2 * m - k), (n, m)
+                assert low == max(1, (s + 1) // 2), (n, m)
+                for h, rows in enumerate(halves):
+                    columns = (m + 1 - (h + s) % 2) // 2  # j = 2c + 1 + (h + s) % 2 <= m
+                    assert len(rows) == (m + 1 - h) // 2, (n, m, h)
+                    for r, row in enumerate(rows):
+                        first = max(0, r - low)
+                        assert first + len(row) <= columns, (n, m, h, r)
+                        for c, x in enumerate(row, first):
+                            assert not x or abs(r - c) <= low, (n, m, h, r, c)
 
     @given(st.integers(1, 10**12), st.integers(1, 20))
     def test_agrees_with_closed_form_at_any_n(self, n, m):
@@ -122,19 +145,20 @@ class TestBlockRecurrence:
         assert det_block(10**12, 40) == det_closed_form(10**12, 40) == 1
         assert time.perf_counter() - start < 1.0
 
-    def test_runs_at_most_m_steps(self, monkeypatch):
-        """Each recurrence step adds m rows of m entries, so the number of
-        additions counts the steps; the shift identity folds every residue
-        past m back onto a shorter run."""
-        import boxdet.det_methods as dm
-
-        additions = []
-        monkeypatch.setattr(dm, "add", lambda x, y: additions.append(1) or x + y)
-        for m in range(1, 9):
-            for n in range(1, 4 * (m + 1)):
-                additions.clear()
-                block_matrix(n, m)
-                assert len(additions) <= m**3, (n, m)
+    def test_memory_follows_the_step_count_not_m_squared(self):
+        """Past the default ceiling, q_4(-A(P_3000)) is two halves of 1500
+        rows with at most five stored entries each; an m x m matrix would
+        hold 9 million."""
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert det_block(4, 3000, ceiling=3000) == det_closed_form(4, 3000) != 0
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert elapsed < 2.0
 
 
 class TestDirectBand:

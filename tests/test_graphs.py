@@ -22,13 +22,17 @@ class TestGraph:
         assert len(g.edges) == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex count must be >= 1, got 0$"):
             Graph(0, frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
             Graph(2, frozenset({(1, 1)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 3$"):
+            Graph(2, frozenset({(3, 3)}))
+        with pytest.raises(ValueError, match=r"^edge \(1, 3\) is outside 1\.\.2$"):
             Graph(2, frozenset({(1, 3)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(3, 1\) is outside 1\.\.2$"):
+            Graph(2, frozenset({(3, 1)}))
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) is outside 1\.\.2$"):
             Graph(2, frozenset({(0, 1)}))
 
 
