@@ -76,7 +76,7 @@ def parse_sizes(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _library_methods(cli_names: frozenset[str]) -> frozenset[str]:
+def _library_methods(cli_names: list[str]) -> frozenset[str]:
     return frozenset(_TO_LIBRARY_NAME[name] for name in cli_names)
 
 
@@ -127,7 +127,7 @@ def _warn_disagreement(report: DetReport) -> None:
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    selected = _library_methods(frozenset(args.methods))
+    selected = _library_methods(args.methods)
     report = verify_all(
         args.n,
         args.m,
@@ -158,26 +158,6 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
-def run_sweep(
-    max_n: int,
-    max_m: int,
-    methods: frozenset[str],
-    *,
-    ceiling: int,
-    block_ceiling: int,
-) -> list[DetReport]:
-    """Every (n, m) report with n <= max_n and m <= max_m, sorted by n then
-    m; ``methods`` holds command-line method names."""
-    selected = _library_methods(methods)
-    return [
-        verify_all(
-            n, m, ceiling=ceiling, block_ceiling=block_ceiling, methods=selected
-        )
-        for n in range(1, max_n + 1)
-        for m in range(1, max_m + 1)
-    ]
-
-
 def _print_sweep_pretty(reports: list[DetReport]) -> None:
     rows = [SWEEP_CSV_HEADER] + [_sweep_csv_row(r) for r in reports]
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
@@ -186,14 +166,18 @@ def _print_sweep_pretty(reports: list[DetReport]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    reports = run_sweep(
-        args.max_n,
-        args.max_m,
-        frozenset(args.methods),
-        ceiling=args.ceiling,
-        block_ceiling=args.block_ceiling,
-    )
-
+    selected = _library_methods(args.methods)
+    reports = [
+        verify_all(
+            n,
+            m,
+            ceiling=args.ceiling,
+            block_ceiling=args.block_ceiling,
+            methods=selected,
+        )
+        for n in range(1, args.max_n + 1)
+        for m in range(1, args.max_m + 1)
+    ]
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":
@@ -212,23 +196,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --- identities --------------------------------------------------------------
 
 
-def run_identities(max_k: int) -> list[IdentityReport]:
-    """The full identity suite with every family's size bound set to max_k.
-
-    Secondary bounds (multiplier t, exponent a) keep their defaults.
-    """
-    return identity_suite(
-        splitting_max_k=max_k,
-        shift_max_k=max_k,
-        annihilation_max_k=max_k,
-        power_max_k=max_k,
-        product_max_n=max_k,
-        symmetry_max=max_k,
-    )
-
-
 def cmd_identities(args: argparse.Namespace) -> int:
-    reports = run_identities(args.max_k)
+    reports = identity_suite(args.max_k)
 
     families: dict[str, list[IdentityReport]] = {}
     for report in reports:
@@ -253,41 +222,23 @@ def cmd_identities(args: argparse.Namespace) -> int:
 # --- bench -------------------------------------------------------------------
 
 
-def _bench_rows(
-    sizes: list[tuple[int, int]],
-    methods: frozenset[str],
-    ceiling: int,
-    block_ceiling: int,
-) -> list[tuple[str, str, str, str, str, str]]:
-    selected = _library_methods(methods)
-    rows = []
-    for n, m in sizes:
-        report = verify_all(
-            n, m, ceiling, block_ceiling=block_ceiling, methods=selected
-        )
-        for cli_name, name in _TO_LIBRARY_NAME.items():
-            if cli_name not in methods:
-                continue
-            value = getattr(report, name)
-            if value is None:
-                rows.append((str(n), str(m), cli_name, "skipped (ceiling)", "", ""))
-            else:
-                ms = report.elapsed[name] * 1000.0
-                rows.append((str(n), str(m), cli_name, "ok", str(value), f"{ms:.3f}"))
-    return rows
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)
-    writer.writerows(
-        _bench_rows(
-            args.sizes,
-            frozenset(args.methods),
-            args.ceiling,
-            args.block_ceiling,
+    selected = _library_methods(args.methods)
+    for n, m in args.sizes:
+        report = verify_all(
+            n, m, args.ceiling, block_ceiling=args.block_ceiling, methods=selected
         )
-    )
+        for cli_name, name in _TO_LIBRARY_NAME.items():
+            if name not in selected:
+                continue
+            value = getattr(report, name)
+            if value is None:
+                writer.writerow((n, m, cli_name, "skipped (ceiling)", "", ""))
+            else:
+                ms = report.elapsed[name] * 1000.0
+                writer.writerow((n, m, cli_name, "ok", value, f"{ms:.3f}"))
     return EXIT_OK
 
 

@@ -61,8 +61,9 @@ class DetReport:
     """Results of every determinant method that ran for one (n, m) pair.
 
     ``direct``, ``block`` and ``resultant`` are None when skipped (size
-    ceiling); the closed form always runs.  ``agree`` holds exactly when all
-    computed values coincide.  Elapsed times are wall-clock seconds.
+    ceiling); the closed form always runs.  ``agree``, derived from the
+    values, holds exactly when all computed values coincide.  Elapsed times
+    are wall-clock seconds.
     """
 
     n: int
@@ -71,14 +72,15 @@ class DetReport:
     block: int | None
     resultant: int | None
     closed_form: int
-    agree: bool
     elapsed: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.closed_form not in (-1, 0, 1):
             raise ValueError(f"closed form value out of range: {self.closed_form}")
-        if self.agree != (len(set(self.results().values())) <= 1):
-            raise ValueError("agree flag contradicts the recorded results")
+
+    @property
+    def agree(self) -> bool:
+        return len(set(self.results().values())) <= 1
 
     def results(self) -> dict[str, int]:
         """Computed values only, keyed by method name."""
@@ -100,19 +102,21 @@ class DetReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check; witness carries the nonzero residue
-    (a polynomial or an integer) exactly when the check failed."""
+    """Outcome of one identity check.  ``witness`` is the nonzero residue
+    (a polynomial or an integer) when the check failed and None when it
+    passed; ``passed`` is derived from it."""
 
     identity: str
     params: dict[str, int]
-    passed: bool
     witness: IntPoly | int | None = None
 
     def __post_init__(self) -> None:
         if self.identity not in IDENTITY_NAMES:
             raise ValueError(f"unknown identity name: {self.identity}")
-        if self.passed == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the check failed")
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
@@ -257,8 +261,7 @@ def verify_all(
             continue
         elapsed[name] = time.perf_counter() - start
 
-    computed = {v for v in values.values() if v is not None}
-    return DetReport(n=n, m=m, **values, agree=len(computed) <= 1, elapsed=elapsed)
+    return DetReport(n=n, m=m, **values, elapsed=elapsed)
 
 
 # --- identity checks -------------------------------------------------------
@@ -277,10 +280,15 @@ def check_splitting(k: int) -> IdentityReport:
             i - 1
         ) * path_charpoly(k - i - 1)
         if lhs != rhs:
-            return IdentityReport(
-                "splitting", {"k": k, "i": i}, False, witness=lhs - rhs
-            )
-    return IdentityReport("splitting", {"k": k}, True)
+            return IdentityReport("splitting", {"k": k, "i": i}, lhs - rhs)
+    return IdentityReport("splitting", {"k": k})
+
+
+def _residue_report(identity: str, params: dict, a: IntPoly) -> IdentityReport:
+    """Whether q_k divides a, for k = params["k"]; the remainder is the
+    witness of a failure."""
+    residue = pseudo_rem(a, path_charpoly(params["k"]))
+    return IdentityReport(identity, params, None if residue.is_zero else residue)
 
 
 def check_shift(k: int, s: int) -> IdentityReport:
@@ -289,26 +297,16 @@ def check_shift(k: int, s: int) -> IdentityReport:
     _require_positive(k=k)
     if not 0 <= s <= k:
         raise ValueError(f"shift must satisfy 0 <= s <= k, got s={s}, k={k}")
-    residue = pseudo_rem(
-        path_charpoly(k + s) + path_charpoly(k - s), path_charpoly(k)
-    )
-    return IdentityReport(
-        "shift",
-        {"k": k, "s": s},
-        residue.is_zero,
-        witness=None if residue.is_zero else residue,
+    return _residue_report(
+        "shift", {"k": k, "s": s}, path_charpoly(k + s) + path_charpoly(k - s)
     )
 
 
 def check_annihilation(k: int, t: int) -> IdentityReport:
     """q_{t(k+1)-1} vanishes at every root of q_k; checked as divisibility."""
     _require_positive(k=k, t=t)
-    residue = pseudo_rem(path_charpoly(t * (k + 1) - 1), path_charpoly(k))
-    return IdentityReport(
-        "annihilation",
-        {"k": k, "t": t},
-        residue.is_zero,
-        witness=None if residue.is_zero else residue,
+    return _residue_report(
+        "annihilation", {"k": k, "t": t}, path_charpoly(t * (k + 1) - 1)
     )
 
 
@@ -318,13 +316,10 @@ def check_power(k: int, a: int, b: int) -> IdentityReport:
     _require_positive(k=k, a=a)
     if not 0 <= b <= k:
         raise ValueError(f"offset must satisfy 0 <= b <= k, got b={b}, k={k}")
-    difference = path_charpoly(a * (k + 1) + b) - path_charpoly(k + 1) ** a * path_charpoly(b)
-    residue = pseudo_rem(difference, path_charpoly(k))
-    return IdentityReport(
+    return _residue_report(
         "power",
         {"k": k, "a": a, "b": b},
-        residue.is_zero,
-        witness=None if residue.is_zero else residue,
+        path_charpoly(a * (k + 1) + b) - path_charpoly(k + 1) ** a * path_charpoly(b),
     )
 
 
@@ -337,12 +332,8 @@ def check_product_n_plus_1(n: int) -> IdentityReport:
     _require_positive(n=n)
     res = resultant(path_charpoly(n), path_charpoly(n + 1))
     expected = -1 if (n * (n + 1) // 2) % 2 else 1
-    return IdentityReport(
-        "product_n_plus_1",
-        {"n": n},
-        res == expected,
-        witness=None if res == expected else res,
-    )
+    witness = None if res == expected else res
+    return IdentityReport("product_n_plus_1", {"n": n}, witness)
 
 
 def check_symmetry(n: int, m: int) -> IdentityReport:
@@ -351,43 +342,41 @@ def check_symmetry(n: int, m: int) -> IdentityReport:
     _require_positive(n=n, m=m)
     forward = det_resultant(n, m)
     backward = det_resultant(m, n)
-    return IdentityReport(
-        "symmetry",
-        {"n": n, "m": m},
-        forward == backward,
-        witness=None if forward == backward else forward - backward,
+    witness = None if forward == backward else forward - backward
+    return IdentityReport("symmetry", {"n": n, "m": m}, witness)
+
+
+# The default size bound of each family, in IDENTITY_NAMES order, and the
+# fixed ranges of the annihilation multiplier t and the power exponent a.
+SUITE_MAX_K = (30, 20, 15, 10, 20, 8)
+MULTIPLIERS = range(1, 6)
+EXPONENTS = range(1, 5)
+
+
+def identity_suite(max_k: int | None = None) -> list[IdentityReport]:
+    """Every identity check, family by family in IDENTITY_NAMES order and
+    parameters ascending.
+
+    ``max_k`` bounds the size parameter of every family (k, or n and m), as
+    ``boxdet identities --max-k`` does; by default each family has its own
+    bound from SUITE_MAX_K.  t runs over MULTIPLIERS and a over EXPONENTS.
+    A bound below 1 is rejected, since it would pass an empty suite.
+    """
+    if max_k is not None:
+        _require_positive(max_k=max_k)
+    split, shift, annih, power, prod, sym = (
+        SUITE_MAX_K if max_k is None else (max_k,) * len(SUITE_MAX_K)
     )
-
-
-def identity_suite(
-    *,
-    splitting_max_k: int = 30,
-    shift_max_k: int = 20,
-    annihilation_max_k: int = 15,
-    annihilation_max_t: int = 5,
-    power_max_k: int = 10,
-    power_max_a: int = 4,
-    product_max_n: int = 20,
-    symmetry_max: int = 8,
-) -> list[IdentityReport]:
-    """Every identity check over the configured parameter grids, in a
-    deterministic order (family by family, parameters ascending)."""
-    reports: list[IdentityReport] = []
-    for k in range(1, splitting_max_k + 1):
-        reports.append(check_splitting(k))
-    for k in range(1, shift_max_k + 1):
-        for s in range(0, k + 1):
-            reports.append(check_shift(k, s))
-    for k in range(1, annihilation_max_k + 1):
-        for t in range(1, annihilation_max_t + 1):
-            reports.append(check_annihilation(k, t))
-    for k in range(1, power_max_k + 1):
-        for a in range(1, power_max_a + 1):
-            for b in range(0, k + 1):
-                reports.append(check_power(k, a, b))
-    for n in range(1, product_max_n + 1):
-        reports.append(check_product_n_plus_1(n))
-    for n in range(1, symmetry_max + 1):
-        for m in range(1, symmetry_max + 1):
-            reports.append(check_symmetry(n, m))
-    return reports
+    return [
+        *(check_splitting(k) for k in range(1, split + 1)),
+        *(check_shift(k, s) for k in range(1, shift + 1) for s in range(k + 1)),
+        *(check_annihilation(k, t) for k in range(1, annih + 1) for t in MULTIPLIERS),
+        *(
+            check_power(k, a, b)
+            for k in range(1, power + 1)
+            for a in EXPONENTS
+            for b in range(k + 1)
+        ),
+        *(check_product_n_plus_1(n) for n in range(1, prod + 1)),
+        *(check_symmetry(n, m) for n in range(1, sym + 1) for m in range(1, sym + 1)),
+    ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
 
 from .polynomials import IntPoly
 
@@ -21,7 +20,8 @@ COFACTOR_SIZE_LIMIT = 10
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Square matrix of Python ints, row-major, dimension >= 1."""
+    """Square matrix of Python ints, row-major, dimension >= 1; any
+    iterable of rows is stored as a tuple of tuples."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -33,10 +33,6 @@ class IntMatrix:
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
-
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(row) for row in rows))
 
     @property
     def size(self) -> int:
@@ -189,4 +185,4 @@ def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
         rows.append((0,) * i + fdesc + (0,) * (m - 1 - i))
     for i in range(n):
         rows.append((0,) * i + gdesc + (0,) * (n - 1 - i))
-    return IntMatrix(tuple(rows))
+    return IntMatrix(rows)

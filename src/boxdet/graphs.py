@@ -74,7 +74,7 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     for u, v in g.edges:
         rows[u - 1][v - 1] = 1
         rows[v - 1][u - 1] = 1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def adjacency_band(g: Graph) -> tuple[int, list[list[int]]]:

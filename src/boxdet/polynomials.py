@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
@@ -212,10 +211,6 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(tuple(_prem(a.coeffs, monic)))
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    return reduce(math.gcd, coeffs)
-
-
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
 
@@ -286,12 +281,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     if b.degree == 0:
         return sign * b.coeffs[0] ** int(a.degree)
 
-    ca = _content(a.coeffs)
-    cb = _content(b.coeffs)
-    acoeffs = [c // ca for c in a.coeffs]
-    bcoeffs = [c // cb for c in b.coeffs]
-    factor = ca ** (len(bcoeffs) - 1) * cb ** (len(acoeffs) - 1)
-
+    acoeffs, bcoeffs = a.coeffs, b.coeffs
     g_ = 1
     h = 1
     while True:
@@ -313,7 +303,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 
     da = len(acoeffs) - 1
     tail = _exact_div([bcoeffs[-1] ** da], h ** (da - 1))[0]
-    return sign * factor * tail
+    return sign * tail
 
 
 def poly_to_json(p: IntPoly) -> str:

@@ -261,7 +261,7 @@ def dense_band(m: IntMatrix) -> tuple[int, list[list[int]]]:
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[rng.randint(low, high) for _ in range(size)] for _ in range(size)]
     )
 

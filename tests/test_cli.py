@@ -90,7 +90,7 @@ class TestDet:
 
     def test_det_disagreement_exits_nonzero(self, capsys, monkeypatch):
         fake = DetReport(n=2, m=3, direct=-1, block=1, resultant=None,
-                         closed_form=-1, agree=False)
+                         closed_form=-1)
         monkeypatch.setattr(cli, "verify_all", lambda *a, **k: fake)
         code, _, err = run_cli(capsys, "det", "2", "3")
         assert code == 1
@@ -184,7 +184,7 @@ class TestSweep:
         def flaky(n, m, **kwargs):
             if (n, m) == (1, 2):
                 return DetReport(n=1, m=2, direct=-1, block=7, resultant=None,
-                                 closed_form=-1, agree=False)
+                                 closed_form=-1)
             return real_verify_all(n, m, **kwargs)
 
         monkeypatch.setattr(cli, "verify_all", flaky)
@@ -260,7 +260,7 @@ class TestIdentities:
 
     def test_failure_exits_nonzero(self, capsys, monkeypatch):
         def broken(k):
-            return IdentityReport("splitting", {"k": k}, False, witness=ONE)
+            return IdentityReport("splitting", {"k": k}, witness=ONE)
 
         monkeypatch.setattr(det_methods, "check_splitting", broken)
         code, out, err = run_cli(capsys, "identities", "--max-k", "2")

@@ -19,6 +19,7 @@ from _oracles import (
 )
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
+    IDENTITY_NAMES,
     DetReport,
     IdentityReport,
     SizeLimitError,
@@ -107,7 +108,7 @@ class TestBlockRecurrence:
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
                 assert expand_block_bands(*block_bands(n, m), m) == horner, (n, m)
-                assert det_block(n, m) == bareiss_det(IntMatrix.from_rows(horner)), (n, m)
+                assert det_block(n, m) == bareiss_det(IntMatrix(horner)), (n, m)
 
     def test_matches_the_recurrence_up_to_the_default_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
@@ -246,7 +247,7 @@ class TestAgreement:
             for m in range(1, 9):
                 assembled = adjacency_matrix(box_product(path(n), path(m)))
                 minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
-                reduced = IntMatrix.from_rows(matpoly_eval(path_charpoly(n), minus_b))
+                reduced = IntMatrix(matpoly_eval(path_charpoly(n), minus_b))
                 assert bareiss_det(reduced) == bareiss_det(assembled), (n, m)
 
     def test_resultant_bridge_against_direct_assembly(self):
@@ -331,26 +332,27 @@ class TestVerifyAll:
 
 
 class TestReportValidation:
-    def test_det_report_agree_must_match_results(self):
-        with pytest.raises(ValueError):
-            DetReport(n=1, m=1, direct=0, block=1, resultant=None,
-                      closed_form=0, agree=True)
-        with pytest.raises(ValueError):
-            DetReport(n=1, m=1, direct=0, block=0, resultant=0,
-                      closed_form=0, agree=False)
+    def test_det_report_agree_is_derived_from_results(self):
+        split = DetReport(n=1, m=1, direct=0, block=1, resultant=None, closed_form=0)
+        assert not split.agree
+        assert split.to_json_dict()["agree"] is False
+        # Skipped methods (None) take no part in the comparison.
+        assert DetReport(n=1, m=1, direct=0, block=None, resultant=0,
+                         closed_form=0).agree
+        assert DetReport(n=1, m=1, direct=None, block=None, resultant=None,
+                         closed_form=1).agree
 
     def test_det_report_closed_form_range(self):
         with pytest.raises(ValueError):
             DetReport(n=1, m=1, direct=None, block=None, resultant=None,
-                      closed_form=5, agree=True)
+                      closed_form=5)
 
     def test_identity_report_witness_rule(self):
+        assert IdentityReport("shift", {"k": 1, "s": 0}).passed
+        assert not IdentityReport("shift", {"k": 1, "s": 0}, witness=ONE).passed
+        assert not IdentityReport("product_n_plus_1", {"n": 1}, witness=0).passed
         with pytest.raises(ValueError):
-            IdentityReport("shift", {"k": 1, "s": 0}, True, witness=ONE)
-        with pytest.raises(ValueError):
-            IdentityReport("shift", {"k": 1, "s": 0}, False, witness=None)
-        with pytest.raises(ValueError):
-            IdentityReport("no_such_identity", {}, True)
+            IdentityReport("no_such_identity", {})
 
 
 class TestIdentityChecks:
@@ -438,15 +440,29 @@ class TestIdentitySuite:
         }
 
     def test_reduced_bounds(self):
-        reports = identity_suite(
-            splitting_max_k=2,
-            shift_max_k=2,
-            annihilation_max_k=2,
-            annihilation_max_t=2,
-            power_max_k=2,
-            power_max_a=2,
-            product_max_n=2,
-            symmetry_max=2,
-        )
+        reports = identity_suite(2)
         assert all(r.passed for r in reports)
-        assert len(reports) == 2 + 5 + 4 + 10 + 2 + 4
+        assert len(reports) == 2 + 5 + 10 + 20 + 2 + 4
+        with pytest.raises(ValueError, match="max_k must be >= 1"):
+            identity_suite(0)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_one_bound_sets_every_family(self, k):
+        """t runs to 5 and a to 4 whatever the bound; every size parameter
+        runs to k."""
+        reports = identity_suite(k)
+        counts = {name: 0 for name in IDENTITY_NAMES}
+        for r in reports:
+            counts[r.identity] += 1
+        steps = sum(j + 1 for j in range(1, k + 1))
+        assert counts == {
+            "splitting": k,
+            "shift": steps,
+            "annihilation": 5 * k,
+            "power": 4 * steps,
+            "product_n_plus_1": k,
+            "symmetry": k * k,
+        }
+        assert [r.identity for r in reports] == sorted(
+            (r.identity for r in reports), key=IDENTITY_NAMES.index
+        )

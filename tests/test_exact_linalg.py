@@ -55,7 +55,7 @@ def banded_matrices(draw):
         i = draw(st.integers(0, size - 2))
         j = draw(st.integers(i + 1, min(i + 3, size - 1)))
         rows[j] = [draw(st.integers(-3, 3)) * x for x in rows[i]]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 @st.composite
@@ -78,37 +78,38 @@ def band_inputs(draw):
 
 class TestIntMatrix:
     def test_constructors(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        m = IntMatrix([[1, 2], [3, 4]])
         assert m.size == 2
         assert m.rows == ((1, 2), (3, 4))
+        assert IntMatrix(iter([(1, 2), [3, 4]])) == m
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IntMatrix.from_rows([])
+            IntMatrix([])
         with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1, 2], [3]])
+            IntMatrix([[1, 2], [3]])
         with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+            IntMatrix([[1, 2, 3], [4, 5, 6]])
 
 
 class TestDeterminants:
     def test_frozen_examples(self):
-        assert bareiss_det(IntMatrix.from_rows(identity_rows(5))) == 1
-        assert bareiss_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
-        assert bareiss_det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
-        four_cycle = IntMatrix.from_rows(
+        assert bareiss_det(IntMatrix(identity_rows(5))) == 1
+        assert bareiss_det(IntMatrix([[0, 1], [1, 0]])) == -1
+        assert bareiss_det(IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
+        four_cycle = IntMatrix(
             [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
         )
         assert bareiss_det(four_cycle) == 0
         assert cofactor_det(four_cycle) == 0
-        assert cofactor_det(IntMatrix.from_rows([[-1]])) == -1
+        assert cofactor_det(IntMatrix([[-1]])) == -1
         two_by_three_grid = adjacency_matrix(box_product(path(2), path(3)))
         assert cofactor_det(two_by_three_grid) == -1
 
     def test_zero_pivot_needs_row_swap(self):
-        m = IntMatrix.from_rows([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
+        m = IntMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
         assert bareiss_det(m) == cofactor_det(m) == 30
-        assert bareiss_det(IntMatrix.from_rows([[0] * 3] * 3)) == 0
+        assert bareiss_det(IntMatrix([[0] * 3] * 3)) == 0
 
     def test_cofactor_validates_bareiss_on_random_matrices(self):
         rng = random.Random(20260815)
@@ -123,18 +124,18 @@ class TestDeterminants:
             size = rng.randint(1, 6)
             a = random_matrix(rng, size, -4, 4)
             b = random_matrix(rng, size, -4, 4)
-            product = IntMatrix.from_rows(mul_rows(a.rows, b.rows))
+            product = IntMatrix(mul_rows(a.rows, b.rows))
             assert bareiss_det(product) == bareiss_det(a) * bareiss_det(b)
 
     def test_scalar_scaling_law(self):
         rng = random.Random(3)
         for size in (1, 2, 3, 4):
             m = random_matrix(rng, size)
-            tripled = IntMatrix.from_rows(scale_rows(3, m.rows))
+            tripled = IntMatrix(scale_rows(3, m.rows))
             assert bareiss_det(tripled) == 3**size * bareiss_det(m)
 
     def test_cofactor_size_guard(self):
-        big = IntMatrix.from_rows(identity_rows(COFACTOR_SIZE_LIMIT + 1))
+        big = IntMatrix(identity_rows(COFACTOR_SIZE_LIMIT + 1))
         with pytest.raises(ValueError, match=str(COFACTOR_SIZE_LIMIT)):
             cofactor_det(big)
 
@@ -146,36 +147,36 @@ class TestDeterminants:
         )
     ))
     def test_bareiss_agrees_with_cofactor(self, rows):
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(rows)
         assert bareiss_det(m) == cofactor_det(m)
 
     @settings(max_examples=300, deadline=None)
     @given(banded_matrices())
     # pivots of 2, so a row entering the window must be scaled by the last
-    @example(IntMatrix.from_rows([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]))
+    @example(IntMatrix([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]))
     # a zero pivot sends down a row reaching further right than its partner
-    @example(IntMatrix.from_rows([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+    @example(IntMatrix([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     def test_banded_agrees_with_dense_elimination(self, m):
         assert bareiss_det(m) == dense_bareiss_det(m)
 
     @settings(max_examples=300, deadline=None)
     @given(band_inputs())
     # one empty row: the whole matrix is zero
-    @example((IntMatrix.from_rows([[0]]), 1, [[]]))
+    @example((IntMatrix([[0]]), 1, [[]]))
     # rows 1 and 2 end left of the diagonal: a permutation matrix
-    @example((IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 1, [[0, 0, 1], [1], [1]]))
+    @example((IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 1, [[0, 0, 1], [1], [1]]))
     # the zero pivot of a long row swaps with a row of length 1
     @example(
         (
-            IntMatrix.from_rows([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
+            IntMatrix([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
             1,
             [[0, 1, 0, 5], [1], [1, 1], [1, 1]],
         )
     )
     # the last row ends left of the diagonal, so its final entry is 0
-    @example((IntMatrix.from_rows([[1, 0], [1, 0]]), 1, [[1], [1]]))
+    @example((IntMatrix([[1, 0], [1, 0]]), 1, [[1], [1]]))
     # a row whose last stored entry is the one in the pivot column
-    @example((IntMatrix.from_rows([[1, 1], [1, 0]]), 1, [[1, 1], [1]]))
+    @example((IntMatrix([[1, 1], [1, 0]]), 1, [[1, 1], [1]]))
     def test_band_core_agrees_with_dense_elimination(self, case):
         m, low, rows = case
         assert bareiss_band_det(low, rows) == dense_bareiss_det(m)
@@ -233,4 +234,19 @@ class TestSylvester:
         f = 2 * X**3 - X + 4
         g = X**2 + 3 * X - 1
         assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.integers(2, 6),
+        st.integers(2, 6),
+    )
+    def test_resultant_of_inputs_with_content(self, f_low, f_lead, g_low, g_lead, c, d):
+        """The remainder sequence needs no primitive inputs: contents c and
+        d above 1 reach the resultant as c**deg(g) * d**deg(f)."""
+        f = c * IntPoly((*f_low, f_lead))
+        g = d * IntPoly((*g_low, g_lead))
+        assert resultant(f, g) == cofactor_det(sylvester_matrix(f, g))
 

@@ -84,12 +84,12 @@ class TestBoxProduct:
 
 class TestAdjacencyMatrix:
     def test_frozen_small_paths(self):
-        assert adjacency_matrix(path(1)) == IntMatrix.from_rows([[0]])
-        assert adjacency_matrix(path(2)) == IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert adjacency_matrix(path(1)) == IntMatrix([[0]])
+        assert adjacency_matrix(path(2)) == IntMatrix([[0, 1], [1, 0]])
 
     def test_frozen_four_cycle(self):
         a = adjacency_matrix(box_product(path(2), path(2)))
-        assert a == IntMatrix.from_rows(
+        assert a == IntMatrix(
             [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
         )
 
