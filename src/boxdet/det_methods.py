@@ -27,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .exact_linalg import bareiss_band_det
+from .exact_linalg import BandRow, bareiss_band_det
 from .graphs import adjacency_band, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
@@ -135,15 +135,13 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
     return bareiss_band_det(
-        *adjacency_band(box_product(path(max(n, m)), path(min(n, m))))
+        adjacency_band(box_product(path(max(n, m)), path(min(n, m))))
     )
 
 
-def block_bands(
-    n: int, m: int
-) -> tuple[int, int, tuple[list[list[int]], list[list[int]]]]:
+def block_bands(n: int, m: int) -> tuple[int, tuple[list[BandRow], list[BandRow]]]:
     """q_n(-B) for the m-path adjacency matrix B, written down from its
-    closed form as two parity halves ``(s, low, (odd, even))``.
+    closed form as two parity halves ``(s, (odd, even))``.
 
     n folds onto s in -1..m and a sign ``unit``, since q_k(-B) has period
     2(m+1) in k and Q_{m+j} = -Q_{m-j}.  By the method of images, entry
@@ -151,24 +149,21 @@ def block_bands(
     max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else 0.  ``odd``
     holds the rows of odd i and ``even`` those of even i, over the columns
     of parity i + s, column j at half column (j - 1) // 2.  Each row is one
-    run of ``unit`` in band storage of lower width ``low`` =
-    max(1, ceil(s/2)), since |i - j| <= s.
+    run of ``unit``, given as the run's first half column and its entries
+    for :func:`~boxdet.exact_linalg.bareiss_band_det`; |i - j| <= s, so
+    each half has lower bandwidth at most max(1, ceil(s/2)).
     """
     s = n % (2 * (m + 1))
     unit = 1
     if s > m:
         s, unit = 2 * m - s, -1
-    low = max(1, (s + 1) // 2)
-    halves: tuple[list[list[int]], list[list[int]]] = ([], [])
+    halves: tuple[list[BandRow], list[BandRow]] = ([], [])
     for i in range(1, m + 1):
-        lo = max(i - s, s - i + 2)
-        hi = min(i + s, 2 * m - s - i)
-        start = max(0, (i - 1) // 2 - low)
-        zeros = (lo - 1) // 2 - start
-        # An empty run (lo > hi) asks for a nonpositive count: no units.
-        units = (hi + 1) // 2 - start - zeros
-        halves[(i - 1) % 2].append([0] * zeros + [unit] * units)
-    return s, low, halves
+        # Half columns of the run's first j and one past its last; none if empty.
+        start = (max(i - s, s - i + 2) - 1) // 2
+        end = (min(i + s, 2 * m - s - i) + 1) // 2
+        halves[(i - 1) % 2].append((start, [unit] * (end - start)))
+    return s, halves
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
@@ -186,9 +181,9 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
         )
     if n % 2 and m % 2:
         return 0
-    _, low, halves = block_bands(n, m)
+    _, halves = block_bands(n, m)
     # The even half is empty only when m = 1; its determinant is 1.
-    det = math.prod(bareiss_band_det(low, rows) for rows in halves if rows)
+    det = math.prod(bareiss_band_det(rows) for rows in halves if rows)
     return -det if n % 2 and (m // 2) % 2 else det
 
 

@@ -2,11 +2,11 @@
 
 Two independent determinant routes are deliberately kept side by side:
 :func:`bareiss_band_det` (fraction-free elimination on band rows, the
-production engine, with :func:`bareiss_det` reading the band from a dense
-matrix) and :func:`cofactor_det` (first-row expansion, a small brute-force
-oracle capped at size 10).  Every exact division inside Bareiss is checked;
-a nonzero remainder means a logic bug and raises immediately instead of
-corrupting the result.
+production engine and the only code that knows band storage, with
+:func:`bareiss_det` slicing dense rows) and :func:`cofactor_det`
+(first-row expansion, a small brute-force oracle capped at size 10).
+Every exact division inside Bareiss is checked; a nonzero remainder means
+a logic bug and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from itertools import compress
 from .polynomials import IntPoly
 
 COFACTOR_SIZE_LIMIT = 10
+BandRow = tuple[int, list[int]]  # (start column, entries); see bareiss_band_det
 
 
 @dataclass(frozen=True)
@@ -40,30 +41,28 @@ class IntMatrix:
 
 
 def bareiss_det(m: IntMatrix) -> int:
-    """Exact determinant by :func:`bareiss_band_det` on the band read from
-    the matrix: ``low`` is the farthest any nonzero entry lies below the
-    diagonal (at least 1), and each row runs to its last nonzero entry."""
-    n = m.size
-    low = 1
-    right = [-1] * n
+    """Exact determinant by :func:`bareiss_band_det`, each row sliced from
+    its first to its last nonzero entry (a zero row is stored empty)."""
+    rows = []
     for i, row in enumerate(m.rows):
-        nonzero = list(compress(range(n), row))
+        nonzero = list(compress(range(m.size), row))
         if nonzero:
-            low = max(low, i - nonzero[0])
-            right[i] = nonzero[-1]
-    return bareiss_band_det(
-        low, [list(row[max(0, i - low) : right[i] + 1]) for i, row in enumerate(m.rows)]
-    )
+            rows.append((nonzero[0], list(row[nonzero[0] : nonzero[-1] + 1])))
+        else:
+            rows.append((i, []))
+    return bareiss_band_det(rows)
 
 
-def bareiss_band_det(low: int, a: list[list[int]]) -> int:
+def bareiss_band_det(rows: list[BandRow]) -> int:
     """Exact determinant by fraction-free (two-step) elimination of a band
-    matrix, given as its lower bandwidth ``low`` >= 1 and its rows.
-
-    Row i (there is at least one) is a list whose first entry is column
-    max(0, i - low), as in LAPACK band storage, and which ends anywhere at
-    or past the row's last nonzero entry, even empty or left of the
-    diagonal.  Elimination rewrites the rows in place.
+    matrix, given as its rows (at least one).  Row i is ``(start,
+    entries)``: the column of its first stored entry (ValueError if
+    negative), then the entries up to anywhere at or past its last nonzero
+    one, even none or left of the diagonal.  The lower bandwidth ``low`` is
+    the farthest a nonempty row starts left of its diagonal, at least 1.
+    Rows that start right of column max(0, i - low) are first left-padded
+    to start there, as in LAPACK band storage; elimination rewrites the
+    entry lists in place.
 
     Intermediate entries are minors of the input, so they stay integral and
     growth is bounded; each elimination step divides by the previous pivot
@@ -78,14 +77,21 @@ def bareiss_band_det(low: int, a: list[list[int]]) -> int:
     Bareiss value is its input times the previous pivot, so it waits
     unscaled and is multiplied once when it enters.  An update runs to the
     farther of the two rows' right ends, the shorter one padded with zeros
-    so that both are zipped whole.  A row with no entry in the pivot column is only scaled by
-    pivot / prev: it is left alone when the two are equal, and multiplied
-    by the quotient when prev divides pivot, as when pivots of -1 and 1
-    alternate in ``det_block``'s half-bands.  A matrix of size N with both
-    bandwidths b costs O(N b^2) steps and O(N b) memory.
+    so that both are zipped whole.  A row with no entry in the pivot column
+    is only scaled by pivot / prev: by the quotient when prev divides
+    pivot, as when pivots of -1 and 1 alternate in ``det_block``'s
+    half-bands, and not at all when that quotient is 1.  A matrix of size
+    N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
     """
-    n = len(a)
+    n = len(rows)
+    low = max([1] + [i - start for i, (start, entries) in enumerate(rows) if entries])
     first = [max(0, i - low) for i in range(n)]  # column of each row's entry 0
+    for (start, entries), base in zip(rows, first):
+        if start > base:
+            entries[:0] = [0] * (start - base)
+        elif start < 0:
+            raise ValueError(f"a row starts at column {start}, left of column 0")
+    a = [entries for _, entries in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -118,10 +124,9 @@ def bareiss_band_det(low: int, a: list[list[int]]) -> int:
                 elif gap < 0:
                     tail += [0] * -gap
                 nums = [x * pivot - factor * y for x, y in zip(row[j + 1 :], tail)]
-            elif pivot == prev:
-                continue  # the row would be scaled by pivot / prev = 1
             elif not rem:  # prev divides pivot, so no entry needs dividing
-                row[j + 1 :] = [x * ratio for x in row[j + 1 :]]
+                if ratio != 1:
+                    row[j + 1 :] = [x * ratio for x in row[j + 1 :]]
                 continue
             else:
                 nums = [x * pivot for x in row[j + 1 :]]

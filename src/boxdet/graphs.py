@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import BandRow, IntMatrix
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def box_product(g: Graph, h: Graph) -> Graph:
     for i, ip in g.edges:
         for j in range(1, m + 1):
             edges.add(((i - 1) * m + j, (ip - 1) * m + j))
-    return Graph(n * m, frozenset(edges))
+    return Graph(n * m, edges)
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
@@ -77,22 +77,21 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def adjacency_band(g: Graph) -> tuple[int, list[list[int]]]:
-    """The adjacency matrix as ``(low, rows)`` for
+def adjacency_band(g: Graph) -> list[BandRow]:
+    """The adjacency matrix's rows for
     :func:`~boxdet.exact_linalg.bareiss_band_det`, built from the edges with
-    no dense row: ``low`` is the largest label difference of an edge (at
-    least 1), and row i runs from column max(0, i - low) to the vertex's
-    last neighbour, empty if it has none."""
-    low = max((v - u for u, v in g.edges), default=1)
-    starts = [max(0, i - low) for i in range(g.n_vertices)]
-    ends = starts[:]  # one past each row's last neighbour
-    for u, v in g.edges:
+    no dense row: row i is ``(start, entries)``, stored from column
+    min(i, first neighbour) through max(i - 1, last neighbour), so a vertex
+    with no neighbour is ``(i, [])``."""
+    starts = list(range(g.n_vertices))
+    ends = starts[:]  # one past each row's last stored column
+    for u, v in g.edges:  # u < v
+        if u - 1 < starts[v - 1]:
+            starts[v - 1] = u - 1
         if v > ends[u - 1]:
             ends[u - 1] = v
-        if u > ends[v - 1]:
-            ends[v - 1] = u
     rows = [[0] * (end - start) for start, end in zip(starts, ends)]
     for u, v in g.edges:
         rows[u - 1][v - 1 - starts[u - 1]] = 1
         rows[v - 1][u - 1 - starts[v - 1]] = 1
-    return low, rows
+    return list(zip(starts, rows))

@@ -178,17 +178,20 @@ def recurrence_block_matrices(m: int):
 
 
 def expand_block_bands(
-    s: int, low: int, halves: tuple[list[list[int]], list[list[int]]], m: int
+    s: int,
+    halves: tuple[list[tuple[int, list[int]]], list[tuple[int, list[int]]]],
+    m: int,
 ) -> list[list[int]]:
     """The dense m x m matrix that :func:`boxdet.det_methods.block_bands`
     describes: half h = 0 (odd) or 1 (even) holds the rows of 1-based i of
-    that parity, half row r is i = 2r + h + 1, and half column c, stored
-    from max(0, r - low), is the column j = 2c + 1 + (h + s) % 2.  A stored
+    that parity, half row r is i = 2r + h + 1, and half column c, counted
+    from the row's start, is the column j = 2c + 1 + (h + s) % 2.  A stored
     entry outside 1..m raises IndexError."""
     dense = [[0] * m for _ in range(m)]
     for h, rows in enumerate(halves):
-        for r, row in enumerate(rows):
-            start = max(0, r - low)
+        for r, (start, row) in enumerate(rows):
+            if start < 0:
+                raise IndexError(f"half row {r} starts at column {start}")
             for c, x in enumerate(row, start):
                 if x:
                     dense[2 * r + h][2 * c + (h + s) % 2] = x
@@ -248,16 +251,17 @@ def dense_bareiss_det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def dense_band(m: IntMatrix) -> tuple[int, list[list[int]]]:
-    """The band of a dense matrix read entry by entry: the farthest any
-    nonzero entry lies below the diagonal (at least 1), and each row from
-    column max(0, i - low) to its last nonzero entry, empty if it has none."""
-    nonzero = [[j for j, x in enumerate(row) if x] for row in m.rows]
-    low = max([1] + [i - cols[0] for i, cols in enumerate(nonzero) if cols])
-    return low, [
-        list(row[max(0, i - low) : cols[-1] + 1]) if cols else []
-        for i, (row, cols) in enumerate(zip(m.rows, nonzero))
-    ]
+def dense_band(m: IntMatrix) -> list[tuple[int, list[int]]]:
+    """The band rows of a dense matrix read entry by entry: row i from
+    column min(i, its first nonzero entry) through column max(i - 1, its
+    last nonzero entry), so a zero row is ``(i, [])``."""
+    rows = []
+    for i, row in enumerate(m.rows):
+        cols = [j for j, x in enumerate(row) if x]
+        start = min([i] + cols)
+        end = max([i] + [j + 1 for j in cols])
+        rows.append((start, list(row[start:end])))
+    return rows
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:

@@ -117,25 +117,26 @@ class TestBlockRecurrence:
                 assert expand_block_bands(*block_bands(n, m), m) == expected, (n, m)
 
     def test_every_stored_entry_lies_in_its_half(self):
-        """Each half is stored as a band of lower width ``low`` =
-        max(1, ceil(s/2)) for the folded step count s: no stored entry lies
-        past the half's last column, and no nonzero one lies farther than
-        ``low`` from the half's diagonal on either side, since Q_s has
-        bandwidth |s|."""
+        """Every stored entry of a half row is ``unit`` (-1 exactly when n
+        folds past m) and lies inside its half: no row starts left of the
+        half's first column or runs past its last one, and no entry lies
+        farther than max(1, ceil(s/2)) from the half's diagonal on either
+        side, since Q_s has bandwidth |s|."""
         for m in range(1, 13):
             for n in range(1, 4 * (m + 1)):
                 k = n % (2 * (m + 1))
-                s, low, halves = block_bands(n, m)
+                unit = 1 if k <= m else -1
+                s, halves = block_bands(n, m)
                 assert s == (k if k <= m else 2 * m - k), (n, m)
-                assert low == max(1, (s + 1) // 2), (n, m)
+                width = max(1, (s + 1) // 2)
                 for h, rows in enumerate(halves):
                     columns = (m + 1 - (h + s) % 2) // 2  # j = 2c + 1 + (h + s) % 2 <= m
                     assert len(rows) == (m + 1 - h) // 2, (n, m, h)
-                    for r, row in enumerate(rows):
-                        first = max(0, r - low)
-                        assert first + len(row) <= columns, (n, m, h, r)
-                        for c, x in enumerate(row, first):
-                            assert not x or abs(r - c) <= low, (n, m, h, r, c)
+                    for r, (start, row) in enumerate(rows):
+                        assert 0 <= start and start + len(row) <= columns, (n, m, h, r)
+                        assert set(row) <= {unit}, (n, m, h, r)
+                        for c in range(start, start + len(row)):
+                            assert abs(r - c) <= width, (n, m, h, r, c)
 
     @given(st.integers(1, 10**12), st.integers(1, 20))
     def test_agrees_with_closed_form_at_any_n(self, n, m):

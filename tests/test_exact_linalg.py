@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from _oracles import (
     add_rows,
-    dense_band,
     dense_bareiss_det,
     identity_rows,
     matpoly_eval,
@@ -60,20 +59,24 @@ def banded_matrices(draw):
 
 @st.composite
 def band_inputs(draw):
-    """A matrix from banded_matrices() with band rows for the core: ``low``
-    at or above the matrix's lower bandwidth, and each row stored from
-    column max(0, i - low) to its last nonzero entry plus 0-2 stored zeros.
-    So zero rows are often stored empty, rows whose entries stop left of
-    the diagonal are stored shorter than the band, and a swap often trades
-    rows of different lengths."""
+    """A matrix from banded_matrices() with its rows for the core, each
+    stored from 0-2 columns left of its first nonzero entry (not left of
+    column 0) to 0-2 columns past its last one, and a zero row as 0-2
+    zeros from any column.  So zero rows are often stored empty, rows whose
+    entries stop left of the diagonal are stored shorter than the band,
+    rows often start right of their diagonal or start with zeros, and a
+    swap often trades rows of different lengths."""
     m = draw(banded_matrices())
-    low = dense_band(m)[0] + draw(st.integers(0, 2))
     rows = []
-    for i, row in enumerate(m.rows):
-        start = max(0, i - low)
-        end = max([start] + [j + 1 for j, x in enumerate(row) if x])
-        rows.append(list(row[start : end + draw(st.integers(0, 2))]))
-    return m, low, rows
+    for row in m.rows:
+        nonzero = [j for j, x in enumerate(row) if x]
+        if nonzero:
+            start = max(0, nonzero[0] - draw(st.integers(0, 2)))
+            end = nonzero[-1] + 1
+        else:
+            start = end = draw(st.integers(0, m.size - 1))
+        rows.append((start, list(row[start : end + draw(st.integers(0, 2))])))
+    return m, rows
 
 
 class TestIntMatrix:
@@ -162,24 +165,67 @@ class TestDeterminants:
     @settings(max_examples=300, deadline=None)
     @given(band_inputs())
     # one empty row: the whole matrix is zero
-    @example((IntMatrix([[0]]), 1, [[]]))
+    @example((IntMatrix([[0]]), [(0, [])]))
     # rows 1 and 2 end left of the diagonal: a permutation matrix
-    @example((IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 1, [[0, 0, 1], [1], [1]]))
+    @example(
+        (
+            IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            [(0, [0, 0, 1]), (0, [1]), (1, [1])],
+        )
+    )
     # the zero pivot of a long row swaps with a row of length 1
     @example(
         (
             IntMatrix([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
-            1,
-            [[0, 1, 0, 5], [1], [1, 1], [1, 1]],
+            [(0, [0, 1, 0, 5]), (0, [1]), (1, [1, 1]), (2, [1, 1])],
         )
     )
     # the last row ends left of the diagonal, so its final entry is 0
-    @example((IntMatrix([[1, 0], [1, 0]]), 1, [[1], [1]]))
+    @example((IntMatrix([[1, 0], [1, 0]]), [(0, [1]), (0, [1])]))
     # a row whose last stored entry is the one in the pivot column
-    @example((IntMatrix([[1, 1], [1, 0]]), 1, [[1, 1], [1]]))
+    @example((IntMatrix([[1, 1], [1, 0]]), [(0, [1, 1]), (0, [1])]))
+    # leading zeros on the last row widen the band to the whole matrix
+    @example(
+        (
+            IntMatrix([[1, 2, 0], [0, 1, 3], [0, 0, 1]]),
+            [(0, [1, 2]), (1, [1, 3]), (0, [0, 0, 1])],
+        )
+    )
+    # rows 0 and 1 start right of their diagonal, so both are padded at entry
+    @example(
+        (
+            IntMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]]),
+            [(1, [2, 1]), (2, [3]), (0, [5])],
+        )
+    )
+    # an empty row starting at column 0 far below the diagonal
+    @example(
+        (
+            IntMatrix([[1, 1, 0], [1, 2, 1], [0, 0, 0]]),
+            [(0, [1, 1]), (0, [1, 2, 1]), (0, [])],
+        )
+    )
     def test_band_core_agrees_with_dense_elimination(self, case):
-        m, low, rows = case
-        assert bareiss_band_det(low, rows) == dense_bareiss_det(m)
+        m, rows = case
+        assert bareiss_band_det(rows) == dense_bareiss_det(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(band_inputs(), st.data())
+    def test_moving_starts_left_keeps_the_determinant(self, case, data):
+        """Prepending zeros to rows, each moved left by 0..start columns,
+        changes how far the band reaches but not the matrix."""
+        m, rows = case
+        moved = []
+        for start, entries in rows:
+            shift = data.draw(st.integers(0, start))
+            moved.append((start - shift, [0] * shift + entries))
+        assert bareiss_band_det(moved) == bareiss_band_det(rows) == dense_bareiss_det(m)
+
+    def test_negative_start_is_rejected(self):
+        with pytest.raises(ValueError, match="-1"):
+            bareiss_band_det([(0, [1, 0]), (-1, [0, 0, 1])])
+        with pytest.raises(ValueError, match="-2"):
+            bareiss_band_det([(-2, [])])
 
 
 class TestMatpolyEval:

@@ -145,4 +145,4 @@ class TestAdjacencyBand:
             assert adjacency_band(g) == dense_band(adjacency_matrix(g)), g
 
     def test_single_vertex_is_one_empty_row(self):
-        assert adjacency_band(path(1)) == (1, [[]])
+        assert adjacency_band(path(1)) == [(0, [])]
