@@ -8,6 +8,10 @@ Subcommands:
 * ``identities``  the divisibility suite, summarized per family.
 * ``bench``       wall-clock comparison of the methods, CSV.
 
+``det``, ``sweep`` and ``bench`` render the same pipeline: one
+:func:`~boxdet.det_methods.verify_all` report per (n, m) pair, printed in
+full before any disagreement is detailed on stderr.
+
 Exit status: 0 on success with full agreement, 1 when methods disagree or an
 identity check fails, 2 for usage errors.  Every command runs in the
 calling thread, so output order is the order of the work.
@@ -19,6 +23,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Collection, Iterator
 
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,
@@ -76,8 +81,49 @@ def parse_sizes(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _library_methods(cli_names: list[str]) -> frozenset[str]:
-    return frozenset(_TO_LIBRARY_NAME[name] for name in cli_names)
+# --- det, sweep and bench ----------------------------------------------------
+
+
+def _verify(args: argparse.Namespace, pairs: list[tuple[int, int]]) -> list[DetReport]:
+    """One report per (n, m) pair, under the command's methods and ceilings."""
+    methods = frozenset(_TO_LIBRARY_NAME[name] for name in args.methods)
+    return [
+        verify_all(
+            n,
+            m,
+            ceiling=args.ceiling,
+            block_ceiling=args.block_ceiling,
+            methods=methods,
+        )
+        for n, m in pairs
+    ]
+
+
+def _exit_status(reports: list[DetReport]) -> int:
+    """Detail every disagreement on stderr; EXIT_FAILURE if there was one."""
+    status = EXIT_OK
+    for report in reports:
+        if not report.agree:
+            detail = ", ".join(f"{k}={v}" for k, v in report.results().items())
+            print(
+                f"disagreement at n={report.n} m={report.m}: {detail}",
+                file=sys.stderr,
+            )
+            status = EXIT_FAILURE
+    return status
+
+
+def _method_rows(
+    report: DetReport, cli_names: Collection[str]
+) -> Iterator[tuple[str, str, int | None, float | None]]:
+    """``(cli name, library name, value, ms)`` for each method in
+    ``cli_names``, in METHOD_NAMES order; value and ms are None for a method
+    that its ceiling skipped."""
+    for cli_name, name in _TO_LIBRARY_NAME.items():
+        if cli_name in cli_names:
+            value = getattr(report, name)
+            ms = None if value is None else report.elapsed.get(name, 0.0) * 1000.0
+            yield cli_name, name, value, ms
 
 
 # --- det -------------------------------------------------------------------
@@ -87,20 +133,17 @@ def _report_gcd(report: DetReport) -> int:
     return math.gcd(report.n + 1, report.m + 1)
 
 
-def _print_det_pretty(report: DetReport, selected: frozenset[str]) -> None:
+def _print_det_pretty(report: DetReport, cli_names: list[str]) -> None:
     print(
         f"P_{report.n} box P_{report.m}: {report.n * report.m} vertices, "
         f"gcd(n+1, m+1) = {_report_gcd(report)}"
     )
-    # A selected method with no value was stopped by its ceiling; a method
-    # that was never selected gets no row at all.
-    for name in METHOD_NAMES:
-        value = getattr(report, name)
+    # The closed form always runs and anchors the report, so it has a row even
+    # when not selected; any other unselected method gets no row at all.
+    for _, name, value, ms in _method_rows(report, {*cli_names, "closed"}):
         if value is None:
-            if name in selected:
-                print(f"  {name:<12} skipped (ceiling)")
+            print(f"  {name:<12} skipped (ceiling)")
         else:
-            ms = report.elapsed.get(name, 0.0) * 1000.0
             print(f"  {name:<12} {value}  [{ms:.3f} ms]")
     print(f"  agree: {'true' if report.agree else 'false'}")
 
@@ -121,30 +164,15 @@ def _write_sweep_csv(reports: list[DetReport]) -> None:
     writer.writerows(_sweep_csv_row(r) for r in reports)
 
 
-def _warn_disagreement(report: DetReport) -> None:
-    detail = ", ".join(f"{k}={v}" for k, v in report.results().items())
-    print(f"disagreement at n={report.n} m={report.m}: {detail}", file=sys.stderr)
-
-
 def cmd_det(args: argparse.Namespace) -> int:
-    selected = _library_methods(args.methods)
-    report = verify_all(
-        args.n,
-        args.m,
-        ceiling=args.ceiling,
-        block_ceiling=args.block_ceiling,
-        methods=selected,
-    )
+    reports = _verify(args, [(args.n, args.m)])
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(reports[0].to_json_dict(), indent=2))
     elif args.format == "csv":
-        _write_sweep_csv([report])
+        _write_sweep_csv(reports)
     else:
-        _print_det_pretty(report, selected)
-    if not report.agree:
-        _warn_disagreement(report)
-        return EXIT_FAILURE
-    return EXIT_OK
+        _print_det_pretty(reports[0], args.methods)
+    return _exit_status(reports)
 
 
 # --- charpoly ----------------------------------------------------------------
@@ -166,31 +194,17 @@ def _print_sweep_pretty(reports: list[DetReport]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    selected = _library_methods(args.methods)
-    reports = [
-        verify_all(
-            n,
-            m,
-            ceiling=args.ceiling,
-            block_ceiling=args.block_ceiling,
-            methods=selected,
-        )
-        for n in range(1, args.max_n + 1)
-        for m in range(1, args.max_m + 1)
-    ]
+    reports = _verify(
+        args,
+        [(n, m) for n in range(1, args.max_n + 1) for m in range(1, args.max_m + 1)],
+    )
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":
         _write_sweep_csv(reports)
     else:
         _print_sweep_pretty(reports)
-
-    status = EXIT_OK
-    for report in reports:
-        if not report.agree:
-            _warn_disagreement(report)
-            status = EXIT_FAILURE
-    return status
+    return _exit_status(reports)
 
 
 # --- identities --------------------------------------------------------------
@@ -223,23 +237,16 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    reports = _verify(args, args.sizes)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)
-    selected = _library_methods(args.methods)
-    for n, m in args.sizes:
-        report = verify_all(
-            n, m, args.ceiling, block_ceiling=args.block_ceiling, methods=selected
-        )
-        for cli_name, name in _TO_LIBRARY_NAME.items():
-            if name not in selected:
-                continue
-            value = getattr(report, name)
+    for r in reports:
+        for cli_name, _, value, ms in _method_rows(r, args.methods):
             if value is None:
-                writer.writerow((n, m, cli_name, "skipped (ceiling)", "", ""))
+                writer.writerow((r.n, r.m, cli_name, "skipped (ceiling)", "", ""))
             else:
-                ms = report.elapsed[name] * 1000.0
-                writer.writerow((n, m, cli_name, "ok", value, f"{ms:.3f}"))
-    return EXIT_OK
+                writer.writerow((r.n, r.m, cli_name, "ok", value, f"{ms:.3f}"))
+    return _exit_status(reports)
 
 
 # --- parser ------------------------------------------------------------------

@@ -139,9 +139,9 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     )
 
 
-def block_bands(n: int, m: int) -> tuple[int, tuple[list[BandRow], list[BandRow]]]:
+def block_bands(n: int, m: int) -> tuple[list[BandRow], list[BandRow]]:
     """q_n(-B) for the m-path adjacency matrix B, written down from its
-    closed form as two parity halves ``(s, (odd, even))``.
+    closed form as two parity halves ``(odd, even)``.
 
     n folds onto s in -1..m and a sign ``unit``, since q_k(-B) has period
     2(m+1) in k and Q_{m+j} = -Q_{m-j}.  By the method of images, entry
@@ -163,7 +163,7 @@ def block_bands(n: int, m: int) -> tuple[int, tuple[list[BandRow], list[BandRow]
         start = (max(i - s, s - i + 2) - 1) // 2
         end = (min(i + s, 2 * m - s - i) + 1) // 2
         halves[(i - 1) % 2].append((start, [unit] * (end - start)))
-    return s, halves
+    return halves
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
@@ -181,9 +181,8 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
         )
     if n % 2 and m % 2:
         return 0
-    _, halves = block_bands(n, m)
     # The even half is empty only when m = 1; its determinant is 1.
-    det = math.prod(bareiss_band_det(rows) for rows in halves if rows)
+    det = math.prod(bareiss_band_det(rows) for rows in block_bands(n, m) if rows)
     return -det if n % 2 and (m // 2) % 2 else det
 
 

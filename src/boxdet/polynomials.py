@@ -129,24 +129,6 @@ class IntPoly:
                 return result
             base = base * base
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts)
-
 
 ZERO = IntPoly(())
 ONE = IntPoly((1,))

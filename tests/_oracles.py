@@ -178,15 +178,16 @@ def recurrence_block_matrices(m: int):
 
 
 def expand_block_bands(
-    s: int,
+    n: int,
     halves: tuple[list[tuple[int, list[int]]], list[tuple[int, list[int]]]],
     m: int,
 ) -> list[list[int]]:
     """The dense m x m matrix that :func:`boxdet.det_methods.block_bands`
-    describes: half h = 0 (odd) or 1 (even) holds the rows of 1-based i of
-    that parity, half row r is i = 2r + h + 1, and half column c, counted
-    from the row's start, is the column j = 2c + 1 + (h + s) % 2.  A stored
-    entry outside 1..m raises IndexError."""
+    describes for q_n: half h = 0 (odd) or 1 (even) holds the rows of 1-based
+    i of that parity, half row r is i = 2r + h + 1, and half column c,
+    counted from the row's start, is the column j = 2c + 1 + (h + n) % 2,
+    since the folded step count s has the parity of n.  A stored entry
+    outside 1..m raises IndexError."""
     dense = [[0] * m for _ in range(m)]
     for h, rows in enumerate(halves):
         for r, (start, row) in enumerate(rows):
@@ -194,7 +195,7 @@ def expand_block_bands(
                 raise IndexError(f"half row {r} starts at column {start}")
             for c, x in enumerate(row, start):
                 if x:
-                    dense[2 * r + h][2 * c + (h + s) % 2] = x
+                    dense[2 * r + h][2 * c + (h + n) % 2] = x
     return dense
 
 

@@ -12,7 +12,7 @@ import boxdet.cli as cli
 import boxdet.det_methods as det_methods
 from boxdet.cli import main, parse_sizes
 from boxdet.det_methods import DetReport, IdentityReport
-from boxdet.polynomials import ONE
+from boxdet.polynomials import ONE, IntPoly
 
 TIMING = re.compile(r"\[\d+\.\d{3} ms\]")
 
@@ -87,6 +87,11 @@ class TestDet:
         assert "skipped" not in out
         assert "direct" not in out
         assert "closed_form  1" in out
+        # The closed form always runs, so it has a row even when not selected.
+        code, out, _ = run_cli(capsys, "det", "4", "5", "--methods", "block")
+        assert code == 0
+        assert "  block        1  [" in out
+        assert "  closed_form  1  [" in out
 
     def test_det_disagreement_exits_nonzero(self, capsys, monkeypatch):
         fake = DetReport(n=2, m=3, direct=-1, block=1, resultant=None,
@@ -268,6 +273,17 @@ class TestIdentities:
         assert "splitting          FAIL" in out
         assert "identity failure: splitting" in err
 
+    def test_polynomial_witness_prints_its_repr(self, capsys, monkeypatch):
+        witness = IntPoly((0, 2, 0, -1))
+
+        def broken(k):
+            return IdentityReport("splitting", {"k": k}, witness=witness)
+
+        monkeypatch.setattr(det_methods, "check_splitting", broken)
+        code, _, err = run_cli(capsys, "identities", "--max-k", "1")
+        assert code == 1
+        assert f"identity failure: splitting k=1 witness={witness!r}\n" in err
+
     def test_max_k_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["identities"])
@@ -304,6 +320,21 @@ class TestBench:
         )
         assert code == 0
         assert out.strip().split("\n")[1].startswith("2,70,block,ok,1,")
+
+    def test_disagreement_exits_nonzero(self, capsys, monkeypatch):
+        fake = DetReport(n=2, m=3, direct=-1, block=1, resultant=None,
+                         closed_form=-1)
+        monkeypatch.setattr(cli, "verify_all", lambda *a, **k: fake)
+        code, out, err = run_cli(capsys, "bench", "--sizes", "2x3")
+        assert code == 1
+        assert out == (
+            "n,m,method,status,det,elapsed_ms\n"
+            "2,3,direct,ok,-1,0.000\n"
+            "2,3,block,ok,1,0.000\n"
+            "2,3,resultant,skipped (ceiling),,\n"
+            "2,3,closed,ok,-1,0.000\n"
+        )
+        assert "disagreement at n=2 m=3" in err
 
     def test_empty_sizes(self, capsys):
         code, out, _ = run_cli(capsys, "bench")

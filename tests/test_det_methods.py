@@ -107,14 +107,14 @@ class TestBlockRecurrence:
             minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
-                assert expand_block_bands(*block_bands(n, m), m) == horner, (n, m)
+                assert expand_block_bands(n, block_bands(n, m), m) == horner, (n, m)
                 assert det_block(n, m) == bareiss_det(IntMatrix(horner)), (n, m)
 
     def test_matches_the_recurrence_up_to_the_default_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
             matrices = recurrence_block_matrices(m)
             for n, expected in itertools.islice(enumerate(matrices), 1, 4 * (m + 1)):
-                assert expand_block_bands(*block_bands(n, m), m) == expected, (n, m)
+                assert expand_block_bands(n, block_bands(n, m), m) == expected, (n, m)
 
     def test_every_stored_entry_lies_in_its_half(self):
         """Every stored entry of a half row is ``unit`` (-1 exactly when n
@@ -126,8 +126,8 @@ class TestBlockRecurrence:
             for n in range(1, 4 * (m + 1)):
                 k = n % (2 * (m + 1))
                 unit = 1 if k <= m else -1
-                s, halves = block_bands(n, m)
-                assert s == (k if k <= m else 2 * m - k), (n, m)
+                s = k if k <= m else 2 * m - k
+                halves = block_bands(n, m)
                 width = max(1, (s + 1) // 2)
                 for h, rows in enumerate(halves):
                     columns = (m + 1 - (h + s) % 2) // 2  # j = 2c + 1 + (h + s) % 2 <= m
