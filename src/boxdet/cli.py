@@ -48,7 +48,6 @@ BENCH_CSV_HEADER = ("n", "m", "method", "status", "det", "elapsed_ms")
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 
 
 def _int_at_least(low: int):

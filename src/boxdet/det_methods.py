@@ -3,9 +3,11 @@ algebraic identity suite that justifies them.
 
 The routes, for the grid graph P_n box P_m:
 
-* direct: assemble the adjacency matrix's band, of width min(n, m), from
-  the grid's edges and Bareiss-eliminate inside it, about
-  nm * min(n, m)**2 steps; no nm x nm matrix is built.
+* direct: 2-colour the grid from its edges; the determinant is 0 when the
+  colour classes differ in size, and (-1)**k det(C)**2 when both have k
+  vertices, with C the biadjacency matrix.  C's band, of width about
+  min(n, m)/2, is built from the edges and Bareiss-eliminated inside, about
+  (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix is built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
@@ -28,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from .exact_linalg import BandRow, bareiss_band_det
-from .graphs import adjacency_band, box_product, path
+from .graphs import biadjacency_band, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
@@ -120,23 +122,28 @@ class IdentityReport:
 
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
-    """Bareiss determinant of the grid adjacency matrix, assembled literally
-    from the grid's edges, as its band.
+    """Determinant of the grid adjacency matrix, from the band of its
+    biadjacency matrix C, assembled literally from the grid's edges.
 
-    The longer path is the outer factor, so vertex (i, j) of the grid gets
-    label (i-1)*min(n, m) + j and the matrix has bandwidth min(n, m); the
-    band holds about nm * min(n, m) entries.  Swapping the factors only
-    relabels vertices, a permutation similarity, so the determinant is
-    unchanged.
+    The grid is bipartite, so in colour-class order its adjacency matrix is
+    [[0, C], [C^T, 0]]: singular when the classes differ in size (odd nm),
+    and of determinant (-1)**k det(C)**2 when both have k vertices, with
+    det(C) by Bareiss elimination.  The longer path is the outer factor, so
+    vertex (i, j) of the grid gets label (i-1)*min(n, m) + j and C, its
+    classes numbered in label order, has bandwidth about min(n, m)/2.
+    Swapping the factors only relabels vertices, a permutation similarity,
+    so the determinant is unchanged.
     """
     _require_positive(n=n, m=m)
     if n * m > ceiling:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    return bareiss_band_det(
-        adjacency_band(box_product(path(max(n, m)), path(min(n, m))))
-    )
+    k, other, rows = biadjacency_band(box_product(path(max(n, m)), path(min(n, m))))
+    if k != other:
+        return 0
+    d = bareiss_band_det(rows)
+    return -d * d if k % 2 else d * d
 
 
 def block_bands(n: int, m: int) -> tuple[list[BandRow], list[BandRow]]:

@@ -1,7 +1,8 @@
-"""Paths, box products, and adjacency matrices, dense or as a band.
+"""Paths, box products, dense adjacency matrices, and the band rows of a
+bipartite graph's biadjacency matrix.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when an adjacency matrix or band is emitted.
+only when a matrix or band is emitted.
 """
 from __future__ import annotations
 
@@ -77,21 +78,49 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def adjacency_band(g: Graph) -> list[BandRow]:
-    """The adjacency matrix's rows for
-    :func:`~boxdet.exact_linalg.bareiss_band_det`, built from the edges with
-    no dense row: row i is ``(start, entries)``, stored from column
-    min(i, first neighbour) through max(i - 1, last neighbour), so a vertex
-    with no neighbour is ``(i, [])``."""
-    starts = list(range(g.n_vertices))
-    ends = starts[:]  # one past each row's last stored column
-    for u, v in g.edges:  # u < v
-        if u - 1 < starts[v - 1]:
-            starts[v - 1] = u - 1
-        if v > ends[u - 1]:
-            ends[u - 1] = v
-    rows = [[0] * (end - start) for start, end in zip(starts, ends)]
+def biadjacency_band(g: Graph) -> tuple[int, int, list[BandRow]]:
+    """2-colour a bipartite graph and return ``(k0, k1, rows)``: the sizes
+    of its two colour classes and the band rows of its biadjacency matrix C
+    for :func:`~boxdet.exact_linalg.bareiss_band_det`.
+
+    In colour-class order the adjacency matrix is [[0, C], [C^T, 0]], with
+    C of size k0 x k1.  Each component is coloured by breadth-first search
+    from its smallest vertex, which gets colour 0, and each class is
+    numbered in vertex order.  Row r of C, for the r-th colour-0 vertex, is
+    ``(start, entries)`` from its first neighbour's class-1 position
+    through its last, so a vertex with no neighbour is ``(r, [])``.  Raises
+    ValueError if the graph has an odd cycle.
+    """
+    n = g.n_vertices
+    neighbours: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
-        rows[u - 1][v - 1 - starts[u - 1]] = 1
-        rows[v - 1][u - 1 - starts[v - 1]] = 1
-    return list(zip(starts, rows))
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour = [-1] * (n + 1)
+    for root in range(1, n + 1):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            for v in neighbours[u]:
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    raise ValueError(f"edge ({u}, {v}) closes an odd cycle")
+    sizes = [0, 0]
+    position = [0] * (n + 1)
+    for v in range(1, n + 1):
+        position[v] = sizes[colour[v]]
+        sizes[colour[v]] += 1
+    rows: list[BandRow] = []
+    for v in range(1, n + 1):
+        if colour[v] == 0:
+            cols = [position[w] for w in neighbours[v]]
+            start = min(cols, default=position[v])
+            entries = [0] * (max(cols, default=start - 1) + 1 - start)
+            for c in cols:
+                entries[c - start] = 1
+            rows.append((start, entries))
+    return sizes[0], sizes[1], rows

@@ -13,8 +13,10 @@ products, q_k(-A(P_m)) also comes from the unfolded matrix recurrence
 Q_k = B Q_{k-1} - Q_{k-2} (both the check on the block method's closed-form
 parity halves, which are expanded back to a dense matrix here), determinants
 come from dense Bareiss elimination over every row and column (the check
-on the banded production routine), bands are read from dense matrices
-entry by entry (the check on the band built from a graph's edges),
+on the banded production routine), a bipartite graph's colour classes
+and biadjacency band are read from its dense adjacency matrix by repeated
+sweeps with no queue (the check on the breadth-first band built from a
+graph's edges),
 eigenvalues come from the known path-spectrum cosine formula, and random
 matrices are drawn from a seeded generator.
 """
@@ -252,17 +254,45 @@ def dense_bareiss_det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def dense_band(m: IntMatrix) -> list[tuple[int, list[int]]]:
-    """The band rows of a dense matrix read entry by entry: row i from
-    column min(i, its first nonzero entry) through column max(i - 1, its
-    last nonzero entry), so a zero row is ``(i, [])``."""
+def dense_biadjacency_band(
+    a: IntMatrix,
+) -> tuple[int, int, list[tuple[int, list[int]]]]:
+    """The colour-class sizes and biadjacency band rows of the bipartite
+    graph with adjacency matrix ``a``, as
+    :func:`boxdet.graphs.biadjacency_band` defines them.
+
+    The smallest uncoloured vertex gets colour 0, and colours spread along
+    nonzero entries, sweeping over the whole matrix until a sweep changes
+    nothing; then the next component starts.  Classes are numbered in
+    vertex order, and row r, for the r-th colour-0 vertex, runs from its
+    first nonzero entry through its last, ``(r, [])`` if it has none.
+    ValueError if a nonzero entry joins two vertices of one colour.
+    """
+    n = a.size
+    colour: list[int | None] = [None] * n
+    for root in range(n):
+        if colour[root] is not None:
+            continue
+        colour[root] = 0
+        changed = True
+        while changed:
+            changed = False
+            for u, row in enumerate(a.rows):
+                for v, x in enumerate(row):
+                    if x and colour[u] is not None and colour[v] is None:
+                        colour[v] = 1 - colour[u]
+                        changed = True
+    for u, row in enumerate(a.rows):
+        for v, x in enumerate(row):
+            if x and colour[u] == colour[v]:
+                raise ValueError(f"vertices {u} and {v} are adjacent and alike")
+    zeros, ones = ([v for v in range(n) if colour[v] == c] for c in (0, 1))
     rows = []
-    for i, row in enumerate(m.rows):
+    for r, u in enumerate(zeros):
+        row = [a.rows[u][v] for v in ones]
         cols = [j for j, x in enumerate(row) if x]
-        start = min([i] + cols)
-        end = max([i] + [j + 1 for j in cols])
-        rows.append((start, list(row[start:end])))
-    return rows
+        rows.append((cols[0], row[cols[0] : cols[-1] + 1]) if cols else (r, []))
+    return len(zeros), len(ones), rows
 
 
 def random_matrix(rng: random.Random, size: int, low: int = -5, high: int = 5) -> IntMatrix:

@@ -37,7 +37,7 @@ from boxdet.det_methods import (
     identity_suite,
     verify_all,
 )
-from boxdet.exact_linalg import IntMatrix, bareiss_det
+from boxdet.exact_linalg import IntMatrix, bareiss_band_det, bareiss_det
 from boxdet.graphs import adjacency_matrix, box_product, path
 from boxdet.polynomials import ONE, path_charpoly
 
@@ -173,10 +173,11 @@ class TestDirectBand:
         assert time.perf_counter() - start < 10.0
 
     def test_long_strip_memory_and_time(self):
-        """5 x 2000, far past the default ceiling: the band holds about
-        nm * min(n, m) entries where the dense matrix would hold (nm)**2.
-        Both orientations build the same band; memory is traced apart from
-        the timing, since tracing every allocation slows the run tenfold."""
+        """5 x 2000, far past the default ceiling: the band of the
+        biadjacency matrix holds about nm * min(n, m) / 4 entries where the
+        dense adjacency matrix would hold (nm)**2.  Both orientations build
+        the same band; memory is traced apart from the timing, since tracing
+        every allocation slows the run tenfold."""
         start = time.perf_counter()
         assert det_direct(5, 2000, ceiling=10**4) == det_closed_form(5, 2000)
         assert det_direct(2000, 5, ceiling=10**4) == det_closed_form(2000, 5)
@@ -194,6 +195,28 @@ class TestDirectBand:
         for n in range(1, 13):
             for m in range(1, 13):
                 assert det_direct(n, m) == det_direct(m, n), (n, m)
+
+    def test_agrees_with_the_whole_adjacency_matrix_up_to_12(self):
+        for n in range(1, 13):
+            for m in range(1, 13):
+                whole = bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
+                assert det_direct(n, m) == whole, (n, m)
+
+    def test_core_runs_once_on_half_the_grid_and_only_for_even_nm(self, monkeypatch):
+        import boxdet.det_methods as dm
+
+        sizes = []
+
+        def spy(rows):
+            sizes.append(len(rows))
+            return bareiss_band_det(rows)
+
+        monkeypatch.setattr(dm, "bareiss_band_det", spy)
+        for n in range(1, 13):
+            for m in range(1, 13):
+                sizes.clear()
+                det_direct(n, m)
+                assert sizes == ([] if n * m % 2 else [n * m // 2]), (n, m)
 
 
 class TestResultantCost:

@@ -1,14 +1,17 @@
-"""Graph layer: paths, box products, adjacency matrices and bands."""
+"""Graph layer: paths, box products, adjacency matrices and biadjacency
+bands."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import dense_band
-from boxdet.exact_linalg import IntMatrix
+from _oracles import dense_bareiss_det, dense_biadjacency_band
+from boxdet.exact_linalg import IntMatrix, bareiss_band_det
 from boxdet.graphs import (
     Graph,
-    adjacency_band,
     adjacency_matrix,
+    biadjacency_band,
     box_product,
     path,
 )
@@ -135,14 +138,47 @@ class TestAdjacencyMatrix:
                         assert [list(row) for row in block] == expected
 
 
+@st.composite
+def bipartite_graphs(draw) -> Graph:
+    """Classes of a and b vertices, as often balanced as not, under a
+    random labelling, joined by a random set of cross edges; sparse draws
+    leave isolated vertices and several components."""
+    a = draw(st.integers(0, 6))
+    b = draw(st.one_of(st.just(a), st.integers(0, 6)).filter(lambda b: a + b))
+    labels = draw(st.permutations(range(1, a + b + 1)))
+    pairs = [(u, v) for u in labels[:a] for v in labels[a:]]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(a + b, frozenset(edges))
 
-class TestAdjacencyBand:
-    def test_is_the_band_of_the_adjacency_matrix(self):
+
+class TestBiadjacencyBand:
+    def test_is_the_band_of_the_biadjacency_matrix(self):
         graphs = [box_product(path(n), path(m)) for n in range(1, 9) for m in range(1, 9)]
         graphs += [path(n) for n in range(1, 20)]
         graphs.append(Graph(6, frozenset({(1, 5), (2, 3), (3, 6)})))
         for g in graphs:
-            assert adjacency_band(g) == dense_band(adjacency_matrix(g)), g
+            assert biadjacency_band(g) == dense_biadjacency_band(adjacency_matrix(g)), g
 
     def test_single_vertex_is_one_empty_row(self):
-        assert adjacency_band(path(1)) == [(0, [])]
+        assert biadjacency_band(path(1)) == (1, 0, [(0, [])])
+
+    def test_odd_cycle_is_rejected(self):
+        triangle = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+        five_cycle = Graph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
+        for g in (triangle, five_cycle):
+            with pytest.raises(ValueError, match="odd cycle"):
+                biadjacency_band(g)
+
+    @given(bipartite_graphs())
+    def test_determinant_from_the_band(self, g):
+        """In colour-class order the adjacency matrix is [[0, C], [C^T, 0]]:
+        its determinant is 0 when the classes differ in size and
+        (-1)**k det(C)**2 when both have k vertices."""
+        a = adjacency_matrix(g)
+        k, other, rows = biadjacency_band(g)
+        assert (k, other, rows) == dense_biadjacency_band(a)
+        if k != other:
+            assert dense_bareiss_det(a) == 0
+        else:
+            d = bareiss_band_det(rows)
+            assert (-1) ** k * d * d == dense_bareiss_det(a)
