@@ -13,7 +13,9 @@ The routes, for the grid graph P_n box P_m:
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
   from its closed form (the method of images), after n folds onto a step
   count s in -1..m; it splits by parity into two half-size bands, each
-  eliminated in about (m/2) * (s/2)**2 steps, whatever n is.
+  eliminated in about (m/2) * (s/2)**2 steps, whatever n is.  For odd n
+  the halves are C and C^T of the same [[0, C], [C^T, 0]] shape as in
+  direct, so only C is eliminated, by the same two-block rule.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.
@@ -121,6 +123,17 @@ class IdentityReport:
         return self.witness is None
 
 
+def _bipartite_det(k0: int, k1: int, rows: list[BandRow]) -> int:
+    """Determinant of [[0, C], [C^T, 0]], with C the k0 x k1 matrix of
+    ``rows``: 0 unless k0 = k1 = k, since the rank is at most
+    2 min(k0, k1), and else (-1)**k det(C)**2, since swapping the two block
+    rows (k**2 transpositions) leaves diag(C^T, C)."""
+    if k0 != k1:
+        return 0
+    d = bareiss_band_det(rows)
+    return -d * d if k0 % 2 else d * d
+
+
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     """Determinant of the grid adjacency matrix, from the band of its
     biadjacency matrix C, assembled literally from the grid's edges.
@@ -128,9 +141,10 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     The grid is bipartite, so in colour-class order its adjacency matrix is
     [[0, C], [C^T, 0]]: singular when the classes differ in size (odd nm),
     and of determinant (-1)**k det(C)**2 when both have k vertices, with
-    det(C) by Bareiss elimination.  The longer path is the outer factor, so
-    vertex (i, j) of the grid gets label (i-1)*min(n, m) + j and C, its
-    classes numbered in label order, has bandwidth about min(n, m)/2.
+    det(C) by Bareiss elimination (:func:`_bipartite_det`).  The longer
+    path is the outer factor, so vertex (i, j) of the grid gets label
+    (i-1)*min(n, m) + j and C, its classes numbered in label order, has
+    bandwidth about min(n, m)/2.
     Swapping the factors only relabels vertices, a permutation similarity,
     so the determinant is unchanged.
     """
@@ -139,11 +153,8 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    k, other, rows = biadjacency_band(box_product(path(max(n, m)), path(min(n, m))))
-    if k != other:
-        return 0
-    d = bareiss_band_det(rows)
-    return -d * d if k % 2 else d * d
+    grid = box_product(path(max(n, m)), path(min(n, m)))
+    return _bipartite_det(*biadjacency_band(grid))
 
 
 def block_bands(n: int, m: int) -> tuple[list[BandRow], list[BandRow]]:
@@ -155,10 +166,13 @@ def block_bands(n: int, m: int) -> tuple[list[BandRow], list[BandRow]]:
     (i, j), 1-based, is ``unit`` when j = i + s (mod 2) and
     max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else 0.  ``odd``
     holds the rows of odd i and ``even`` those of even i, over the columns
-    of parity i + s, column j at half column (j - 1) // 2.  Each row is one
-    run of ``unit``, given as the run's first half column and its entries
-    for :func:`~boxdet.exact_linalg.bareiss_band_det`; |i - j| <= s, so
-    each half has lower bandwidth at most max(1, ceil(s/2)).
+    of parity i + s, column j at half column (j - 1) // 2; ``even`` is empty
+    when m = 1.  For odd s each half holds the other's indices as columns,
+    and q_n(-B) is symmetric, so ``even`` is the transpose of ``odd``.
+    Each row is one run of ``unit``, given as the run's first half column
+    and its entries for :func:`~boxdet.exact_linalg.bareiss_band_det`;
+    |i - j| <= s, so each half has lower bandwidth at most
+    max(1, ceil(s/2)).
     """
     s = n % (2 * (m + 1))
     unit = 1
@@ -177,20 +191,20 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     """Block reduction: det q_n(-B) from the halves of :func:`block_bands`.
 
     With the odd indices first, q_n(-B) is diag(odd, even) for even s and
-    [[0, odd], [even, 0]] for odd s, which has the parity of n.  The latter
-    is singular when m is odd (it maps ceil(m/2) indices onto floor(m/2)),
-    and has determinant (-1)**(m/2) det(odd) det(even) when m is even.
+    [[0, odd], [odd^T, 0]] for odd s, which has the parity of n; ``odd`` is
+    then ceil(m/2) x floor(m/2).  That shape goes to :func:`_bipartite_det`:
+    singular with no elimination when m is odd, and else the sign times
+    det(odd)**2, so ``even`` is not eliminated.
     """
     _require_positive(n=n, m=m)
     if m > ceiling:
         raise SizeLimitError(
             f"path size {m} exceeds the block-method ceiling of {ceiling}"
         )
-    if n % 2 and m % 2:
-        return 0
-    # The even half is empty only when m = 1; its determinant is 1.
-    det = math.prod(bareiss_band_det(rows) for rows in block_bands(n, m) if rows)
-    return -det if n % 2 and (m // 2) % 2 else det
+    odd, even = block_bands(n, m)
+    if n % 2:
+        return _bipartite_det((m + 1) // 2, m // 2, odd)
+    return bareiss_band_det(odd) * bareiss_band_det(even)
 
 
 def det_resultant(n: int, m: int) -> int:

@@ -55,10 +55,10 @@ def bareiss_det(m: IntMatrix) -> int:
 
 def bareiss_band_det(rows: list[BandRow]) -> int:
     """Exact determinant by fraction-free (two-step) elimination of a band
-    matrix, given as its rows (at least one).  Row i is ``(start,
-    entries)``: the column of its first stored entry (ValueError if
-    negative), then the entries up to anywhere at or past its last nonzero
-    one, even none or left of the diagonal.  The lower bandwidth ``low`` is
+    matrix, given as its rows; no rows is the empty matrix, of determinant
+    1.  Row i is ``(start, entries)``: the column of its first stored entry
+    (ValueError if negative), then the entries up to anywhere at or past
+    its last nonzero one, even none or left of the diagonal.  The lower bandwidth ``low`` is
     the farthest a nonempty row starts left of its diagonal, at least 1.
     Rows that start right of column max(0, i - low) are first left-padded
     to start there, as in LAPACK band storage; elimination rewrites the
@@ -84,6 +84,8 @@ def bareiss_band_det(rows: list[BandRow]) -> int:
     N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
     """
     n = len(rows)
+    if not n:
+        return 1
     low = max([1] + [i - start for i, (start, entries) in enumerate(rows) if entries])
     first = [max(0, i - low) for i in range(n)]  # column of each row's entry 0
     for (start, entries), base in zip(rows, first):

@@ -50,9 +50,10 @@ class IntPoly:
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     @property
     def is_zero(self) -> bool:

@@ -138,6 +138,39 @@ class TestBlockRecurrence:
                         for c in range(start, start + len(row)):
                             assert abs(r - c) <= width, (n, m, h, r, c)
 
+    def test_even_half_is_the_odd_half_transposed_for_odd_n(self):
+        """For odd n, q_n(-B) is [[0, X], [X^T, 0]] with the odd indices
+        first: the even rows over the odd columns are the transpose of the
+        odd rows over the even columns."""
+        for m in range(1, 21):
+            for n in range(1, 2 * (m + 1) + 1, 2):
+                dense = expand_block_bands(n, block_bands(n, m), m)
+                x = [row[1::2] for row in dense[0::2]]
+                y = [row[0::2] for row in dense[1::2]]
+                assert y == [list(col) for col in zip(*x)], (n, m)
+
+    def test_core_runs_once_for_odd_n_and_never_for_odd_nm(self, monkeypatch):
+        """Odd n eliminates the odd half alone, or nothing when m is odd too;
+        even n eliminates both halves."""
+        import boxdet.det_methods as dm
+
+        calls = []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return bareiss_band_det(rows)
+
+        monkeypatch.setattr(dm, "bareiss_band_det", spy)
+        for m in range(1, 21):
+            for n in range(1, 2 * (m + 1) + 1):
+                calls.clear()
+                assert det_block(n, m) == det_closed_form(n, m), (n, m)
+                if n % 2 == 0:
+                    expected = [(m + 1) // 2, m // 2]
+                else:
+                    expected = [] if m % 2 else [m // 2]
+                assert calls == expected, (n, m)
+
     @given(st.integers(1, 10**12), st.integers(1, 20))
     def test_agrees_with_closed_form_at_any_n(self, n, m):
         assert det_block(n, m) == det_closed_form(n, m)

@@ -221,6 +221,9 @@ class TestDeterminants:
             moved.append((start - shift, [0] * shift + entries))
         assert bareiss_band_det(moved) == bareiss_band_det(rows) == dense_bareiss_det(m)
 
+    def test_empty_matrix_has_determinant_one(self):
+        assert bareiss_band_det([]) == 1
+
     def test_negative_start_is_rejected(self):
         with pytest.raises(ValueError, match="-1"):
             bareiss_band_det([(0, [1, 0]), (-1, [0, 0, 1])])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import example, given
@@ -46,6 +47,13 @@ class TestIntPolyBasics:
     def test_normalization_strips_trailing_zeros(self):
         assert IntPoly((1, 2, 0, 0)) == IntPoly((1, 2))
         assert IntPoly((0, 0)) == ZERO
+
+    def test_normalization_is_linear_in_the_trailing_zeros(self):
+        """One slice strips them all; a slice per zero would copy the
+        tuple 100,000 times."""
+        start = time.perf_counter()
+        assert IntPoly((1,) + (0,) * 100_000).coeffs == (1,)
+        assert time.perf_counter() - start < 1.0
 
     def test_zero_degree_marker(self):
         assert ZERO.is_zero
