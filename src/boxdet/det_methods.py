@@ -12,10 +12,9 @@ The routes, for the grid graph P_n box P_m:
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
   from its closed form (the method of images), after n folds onto a step
-  count s in -1..m; it splits by parity into two half-size bands, each
-  eliminated in about (m/2) * (s/2)**2 steps, whatever n is.  For odd n
-  the halves are C and C^T of the same [[0, C], [C^T, 0]] shape as in
-  direct, so only C is eliminated, by the same two-block rule.
+  count s in -1..m.  Its two parity halves have one determinant up to a
+  known sign, so direct's two-block rule gives the sign and one half-size
+  band H gives det(H)**2, in about (m/2) * (s/2)**2 steps, whatever n is.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.
@@ -124,10 +123,11 @@ class IdentityReport:
 
 
 def _bipartite_det(k0: int, k1: int, rows: list[BandRow]) -> int:
-    """Determinant of [[0, C], [C^T, 0]], with C the k0 x k1 matrix of
-    ``rows``: 0 unless k0 = k1 = k, since the rank is at most
-    2 min(k0, k1), and else (-1)**k det(C)**2, since swapping the two block
-    rows (k**2 transpositions) leaves diag(C^T, C)."""
+    """Determinant of [[0, C], [C^T, 0]], with C of size k0 x k1: 0 unless
+    k0 = k1 = k, since the rank is at most 2 min(k0, k1), and else
+    (-1)**k det(C)**2, since swapping the two block rows (k**2
+    transpositions) leaves diag(C^T, C).  ``rows`` are the band of any H
+    with det(H)**2 = det(C)**2; only H is eliminated."""
     if k0 != k1:
         return 0
     d = bareiss_band_det(rows)
@@ -157,54 +157,51 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     return _bipartite_det(*biadjacency_band(grid))
 
 
-def block_bands(n: int, m: int) -> tuple[list[BandRow], list[BandRow]]:
-    """q_n(-B) for the m-path adjacency matrix B, written down from its
-    closed form as two parity halves ``(odd, even)``.
+def block_bands(n: int, m: int) -> list[BandRow]:
+    """The one parity half of q_n(-B) that :func:`det_block` eliminates,
+    for the m-path adjacency matrix B, written down from its closed form.
 
     n folds onto s in -1..m and a sign ``unit``, since q_k(-B) has period
-    2(m+1) in k and Q_{m+j} = -Q_{m-j}.  By the method of images, entry
-    (i, j), 1-based, is ``unit`` when j = i + s (mod 2) and
-    max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else 0.  ``odd``
-    holds the rows of odd i and ``even`` those of even i, over the columns
-    of parity i + s, column j at half column (j - 1) // 2; ``even`` is empty
-    when m = 1.  For odd s each half holds the other's indices as columns,
-    and q_n(-B) is symmetric, so ``even`` is the transpose of ``odd``.
-    Each row is one run of ``unit``, given as the run's first half column
-    and its entries for :func:`~boxdet.exact_linalg.bareiss_band_det`;
-    |i - j| <= s, so each half has lower bandwidth at most
-    max(1, ceil(s/2)).
+    2(m+1) in k and Q_{m+j} = -Q_{m-j}; s has the parity of n.  By the
+    method of images, entry (i, j), 1-based, is ``unit`` when j = i + s
+    (mod 2) and max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else
+    0.  The half holds the rows i of the parity of n, so its columns are
+    the even j, column j at half column j // 2 - 1; it is empty for even n
+    and m = 1.  Each row is one run of ``unit``, given as the run's first
+    half column and its entries for :func:`~boxdet.exact_linalg.bareiss_band_det`;
+    |i - j| <= s, so the half has lower bandwidth at most max(1, ceil(s/2)).
     """
     s = n % (2 * (m + 1))
     unit = 1
     if s > m:
         s, unit = 2 * m - s, -1
-    halves: tuple[list[BandRow], list[BandRow]] = ([], [])
-    for i in range(1, m + 1):
+    rows: list[BandRow] = []
+    for i in range(2 - n % 2, m + 1, 2):
         # Half columns of the run's first j and one past its last; none if empty.
         start = (max(i - s, s - i + 2) - 1) // 2
         end = (min(i + s, 2 * m - s - i) + 1) // 2
-        halves[(i - 1) % 2].append((start, [unit] * (end - start)))
-    return halves
+        rows.append((start, [unit] * (end - start)))
+    return rows
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
-    """Block reduction: det q_n(-B) from the halves of :func:`block_bands`.
+    """Block reduction: det q_n(-B) from the half of :func:`block_bands`.
 
-    With the odd indices first, q_n(-B) is diag(odd, even) for even s and
-    [[0, odd], [odd^T, 0]] for odd s, which has the parity of n; ``odd`` is
-    then ceil(m/2) x floor(m/2).  That shape goes to :func:`_bipartite_det`:
-    singular with no elimination when m is odd, and else the sign times
-    det(odd)**2, so ``even`` is not eliminated.
+    With the odd indices first, B = [[0, D], [D^T, 0]].  For odd n,
+    q_n(-B) is symmetric, [[0, X], [X^T, 0]].  For even n it is
+    diag(p(D D^T), p(D^T D)) = diag(Y, Z) for one polynomial p, and as
+    D D^T has the eigenvalues of D^T D and, when m is odd, one more 0,
+    det Y = p(0)**(m % 2) det Z with p(0) = q_n(0) = (-1)**(n/2).
+    Either way det q_n(-B) = (-1)**(nm/2) det(H)**2 for the half H = X or
+    Z, and 0 for odd nm: :func:`_bipartite_det` for the grid's colour
+    classes of ceil(nm/2) and floor(nm/2) vertices.
     """
     _require_positive(n=n, m=m)
     if m > ceiling:
         raise SizeLimitError(
             f"path size {m} exceeds the block-method ceiling of {ceiling}"
         )
-    odd, even = block_bands(n, m)
-    if n % 2:
-        return _bipartite_det((m + 1) // 2, m // 2, odd)
-    return bareiss_band_det(odd) * bareiss_band_det(even)
+    return _bipartite_det((n * m + 1) // 2, n * m // 2, block_bands(n, m))
 
 
 def det_resultant(n: int, m: int) -> int:

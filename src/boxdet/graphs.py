@@ -7,6 +7,7 @@ only when a matrix or band is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NoReturn
 
 from .exact_linalg import BandRow, IntMatrix
@@ -16,8 +17,8 @@ from .exact_linalg import BandRow, IntMatrix
 class Graph:
     """Undirected simple graph: a vertex count and a set of unordered edges.
 
-    Edges are stored as (u, v) pairs with u < v; loops and out-of-range
-    endpoints are rejected at construction.
+    Any iterable of pairs is stored as a frozenset of (u, v) pairs with
+    u < v; loops and out-of-range endpoints are rejected at construction.
     """
 
     n_vertices: int
@@ -46,7 +47,7 @@ def path(n: int) -> Graph:
     """The path on vertices 1..n with edges between consecutive integers."""
     if n < 1:
         raise ValueError(f"a path needs at least one vertex, got {n}")
-    return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
+    return Graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def box_product(g: Graph, h: Graph) -> Graph:
@@ -57,15 +58,11 @@ def box_product(g: Graph, h: Graph) -> Graph:
     n*|E(h)| + m*|E(g)| edges.
     """
     n, m = g.n_vertices, h.n_vertices
-    edges = set()
-    for i in range(1, n + 1):
-        base = (i - 1) * m
-        for j, jp in h.edges:
-            edges.add((base + j, base + jp))
-    for i, ip in g.edges:
-        for j in range(1, m + 1):
-            edges.add(((i - 1) * m + j, (ip - 1) * m + j))
-    return Graph(n * m, edges)
+    within = ((base + j, base + jp) for base in range(0, n * m, m) for j, jp in h.edges)
+    across = (
+        ((i - 1) * m + j, (ip - 1) * m + j) for i, ip in g.edges for j in range(1, m + 1)
+    )
+    return Graph(n * m, chain(within, across))
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:

@@ -11,7 +11,7 @@ schoolbook pseudo-division that rescales the whole dividend at every step
 by Horner's rule over their coefficients with plain list-of-rows sums and
 products, q_k(-A(P_m)) also comes from the unfolded matrix recurrence
 Q_k = B Q_{k-1} - Q_{k-2} (both the check on the block method's closed-form
-parity halves, which are expanded back to a dense matrix here), determinants
+parity half, which is expanded back to a dense half here), determinants
 come from dense Bareiss elimination over every row and column (the check
 on the banded production routine), a bipartite graph's colour classes
 and biadjacency band are read from its dense adjacency matrix by repeated
@@ -179,26 +179,26 @@ def recurrence_block_matrices(m: int):
         ]
 
 
-def expand_block_bands(
-    n: int,
-    halves: tuple[list[tuple[int, list[int]]], list[tuple[int, list[int]]]],
-    m: int,
-) -> list[list[int]]:
-    """The dense m x m matrix that :func:`boxdet.det_methods.block_bands`
-    describes for q_n: half h = 0 (odd) or 1 (even) holds the rows of 1-based
-    i of that parity, half row r is i = 2r + h + 1, and half column c,
-    counted from the row's start, is the column j = 2c + 1 + (h + n) % 2,
-    since the folded step count s has the parity of n.  A stored entry
-    outside 1..m raises IndexError."""
-    dense = [[0] * m for _ in range(m)]
-    for h, rows in enumerate(halves):
-        for r, (start, row) in enumerate(rows):
-            if start < 0:
-                raise IndexError(f"half row {r} starts at column {start}")
-            for c, x in enumerate(row, start):
-                if x:
-                    dense[2 * r + h][2 * c + (h + n) % 2] = x
+def expand_block_band(rows: list[tuple[int, list[int]]], m: int) -> list[list[int]]:
+    """The dense half that :func:`boxdet.det_methods.block_bands` describes:
+    one row per band row, over the m // 2 half columns, half column c being
+    the 1-based column j = 2c + 2.  A stored entry outside them raises
+    IndexError."""
+    dense = [[0] * (m // 2) for _ in rows]
+    for r, (start, row) in enumerate(rows):
+        if start < 0:
+            raise IndexError(f"half row {r} starts at column {start}")
+        for c, x in enumerate(row, start):
+            if x:
+                dense[r][c] = x
     return dense
+
+
+def parity_half(dense: list[list[int]], n: int) -> list[list[int]]:
+    """The rows of a dense m x m matrix whose 1-based index has the parity
+    of n, over its even 1-based columns: the half of q_n(-B) that
+    :func:`boxdet.det_methods.block_bands` stores."""
+    return [row[1::2] for row in dense[1 - n % 2 :: 2]]
 
 
 def dense_bareiss_det(m: IntMatrix) -> int:

@@ -114,8 +114,9 @@ def test_criterion_2_four_method_agreement(capsys):
 
 
 def test_criterion_3_square_grids_are_singular(capsys):
-    """det = 0 on every square grid: eliminated up to n=12, by formula to a
-    million."""
+    """det = 0 on every square grid: by direct up to n=12, where the even
+    squares are eliminated and the odd ones answered by their unequal
+    colour classes, and by formula to a million."""
     failures = []
     start = time.perf_counter()
     for n in range(1, 13):

@@ -11,9 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (
-    expand_block_bands,
+    dense_bareiss_det,
+    expand_block_band,
     grid_eigenvalue_product,
     matpoly_eval,
+    parity_half,
     recurrence_block_matrices,
     scale_rows,
 )
@@ -97,8 +99,9 @@ class TestCeiling:
 
 
 class TestBlockRecurrence:
-    """The closed-form parity halves of q_n(-B) against the matrix
-    recurrence and Horner's rule, and det_block against the closed form."""
+    """The closed-form parity half of q_n(-B) against the matrix recurrence
+    and Horner's rule, the two-block rule on the recurrence's matrices, and
+    det_block against the closed form."""
 
     def test_matches_horner_through_two_periods(self):
         """n runs over two full periods 2(m+1), so the folded step count is
@@ -107,51 +110,72 @@ class TestBlockRecurrence:
             minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
-                assert expand_block_bands(n, block_bands(n, m), m) == horner, (n, m)
+                half = expand_block_band(block_bands(n, m), m)
+                assert half == parity_half(horner, n), (n, m)
                 assert det_block(n, m) == bareiss_det(IntMatrix(horner)), (n, m)
 
     def test_matches_the_recurrence_up_to_the_default_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
             matrices = recurrence_block_matrices(m)
             for n, expected in itertools.islice(enumerate(matrices), 1, 4 * (m + 1)):
-                assert expand_block_bands(n, block_bands(n, m), m) == expected, (n, m)
+                half = expand_block_band(block_bands(n, m), m)
+                assert half == parity_half(expected, n), (n, m)
 
     def test_every_stored_entry_lies_in_its_half(self):
         """Every stored entry of a half row is ``unit`` (-1 exactly when n
-        folds past m) and lies inside its half: no row starts left of the
-        half's first column or runs past its last one, and no entry lies
-        farther than max(1, ceil(s/2)) from the half's diagonal on either
-        side, since Q_s has bandwidth |s|."""
+        folds past m) and lies inside the half: no row starts left of its
+        first column or runs past its last one, and no entry lies farther
+        than max(1, ceil(s/2)) from the half's diagonal on either side,
+        since Q_s has bandwidth |s|."""
         for m in range(1, 13):
             for n in range(1, 4 * (m + 1)):
                 k = n % (2 * (m + 1))
                 unit = 1 if k <= m else -1
                 s = k if k <= m else 2 * m - k
-                halves = block_bands(n, m)
+                rows = block_bands(n, m)
                 width = max(1, (s + 1) // 2)
-                for h, rows in enumerate(halves):
-                    columns = (m + 1 - (h + s) % 2) // 2  # j = 2c + 1 + (h + s) % 2 <= m
-                    assert len(rows) == (m + 1 - h) // 2, (n, m, h)
-                    for r, (start, row) in enumerate(rows):
-                        assert 0 <= start and start + len(row) <= columns, (n, m, h, r)
-                        assert set(row) <= {unit}, (n, m, h, r)
-                        for c in range(start, start + len(row)):
-                            assert abs(r - c) <= width, (n, m, h, r, c)
+                assert len(rows) == (m + n % 2) // 2, (n, m)  # i = 2 - n % 2, ... <= m
+                for r, (start, row) in enumerate(rows):
+                    assert 0 <= start and start + len(row) <= m // 2, (n, m, r)
+                    assert set(row) <= {unit}, (n, m, r)
+                    for c in range(start, start + len(row)):
+                        assert abs(r - c) <= width, (n, m, r, c)
 
     def test_even_half_is_the_odd_half_transposed_for_odd_n(self):
         """For odd n, q_n(-B) is [[0, X], [X^T, 0]] with the odd indices
-        first: the even rows over the odd columns are the transpose of the
-        odd rows over the even columns."""
+        first: rows and columns of one parity meet only zeros, and the even
+        rows over the odd columns are the transpose of the odd rows over
+        the even columns."""
         for m in range(1, 21):
-            for n in range(1, 2 * (m + 1) + 1, 2):
-                dense = expand_block_bands(n, block_bands(n, m), m)
-                x = [row[1::2] for row in dense[0::2]]
-                y = [row[0::2] for row in dense[1::2]]
+            matrices = recurrence_block_matrices(m)
+            for n, q in itertools.islice(enumerate(matrices), 1, 2 * (m + 1) + 1, 2):
+                for h in (0, 1):
+                    assert not any(x for row in q[h::2] for x in row[h::2]), (n, m)
+                x = [row[1::2] for row in q[0::2]]
+                y = [row[0::2] for row in q[1::2]]
                 assert y == [list(col) for col in zip(*x)], (n, m)
 
-    def test_core_runs_once_for_odd_n_and_never_for_odd_nm(self, monkeypatch):
-        """Odd n eliminates the odd half alone, or nothing when m is odd too;
-        even n eliminates both halves."""
+    def test_halves_share_one_determinant_up_to_q_n_0_for_even_n(self):
+        """For even n, q_n(-B) is diag(Y, Z) with the odd indices first, and
+        det Y = q_n(0)**(m % 2) det Z with q_n(0) = (-1)**(n/2): Y and Z are
+        one polynomial in D D^T and in D^T D, which share their nonzero
+        eigenvalues, and D D^T has one more, 0, when m is odd."""
+
+        def det(rows):
+            return dense_bareiss_det(IntMatrix(rows)) if rows else 1
+
+        for m in range(1, 41):
+            matrices = recurrence_block_matrices(m)
+            for n, q in itertools.islice(enumerate(matrices), 2, 2 * (m + 1) + 1, 2):
+                for h in (0, 1):
+                    assert not any(x for row in q[h::2] for x in row[1 - h :: 2]), (n, m)
+                y = [row[0::2] for row in q[0::2]]
+                z = [row[1::2] for row in q[1::2]]
+                sign = -1 if (n // 2) * (m % 2) % 2 else 1
+                assert det(y) == sign * det(z), (n, m)
+
+    def test_core_runs_once_for_even_nm_and_never_for_odd_nm(self, monkeypatch):
+        """Every n eliminates one half of m // 2 rows, and odd nm nothing."""
         import boxdet.det_methods as dm
 
         calls = []
@@ -165,11 +189,12 @@ class TestBlockRecurrence:
             for n in range(1, 2 * (m + 1) + 1):
                 calls.clear()
                 assert det_block(n, m) == det_closed_form(n, m), (n, m)
-                if n % 2 == 0:
-                    expected = [(m + 1) // 2, m // 2]
-                else:
-                    expected = [] if m % 2 else [m // 2]
-                assert calls == expected, (n, m)
+                assert calls == ([] if n * m % 2 else [m // 2]), (n, m)
+
+    def test_agrees_with_closed_form_through_two_periods_up_to_the_ceiling(self):
+        for m in range(1, DEFAULT_BLOCK_CEILING + 1):
+            for n in range(1, 4 * (m + 1) + 1):
+                assert det_block(n, m) == det_closed_form(n, m), (n, m)
 
     @given(st.integers(1, 10**12), st.integers(1, 20))
     def test_agrees_with_closed_form_at_any_n(self, n, m):
@@ -181,9 +206,9 @@ class TestBlockRecurrence:
         assert time.perf_counter() - start < 1.0
 
     def test_memory_follows_the_step_count_not_m_squared(self):
-        """Past the default ceiling, q_4(-A(P_3000)) is two halves of 1500
-        rows with at most five stored entries each; an m x m matrix would
-        hold 9 million."""
+        """Past the default ceiling, det_block(4, 3000) builds one half of
+        q_4(-A(P_3000)), 1500 rows with at most five stored entries each;
+        an m x m matrix would hold 9 million."""
         tracemalloc.start()
         try:
             start = time.perf_counter()

@@ -38,6 +38,20 @@ class TestGraph:
         with pytest.raises(ValueError, match=r"^edge \(0, 1\) is outside 1\.\.2$"):
             Graph(2, frozenset({(0, 1)}))
 
+    def test_a_generator_is_read_as_its_set(self):
+        """A one-pass generator of pairs gives the edges and the errors of
+        the frozenset of the same pairs."""
+        pairs = [(2, 1), (3, 2), (2, 3)]
+        g = Graph(3, (pair for pair in pairs))
+        assert g == Graph(3, frozenset(pairs))
+        assert g.edges == frozenset({(1, 2), (2, 3)})
+        for bad in ([(1, 2), (2, 2)], [(3, 1)], [(0, 1)], [(1, 2, 3)]):
+            with pytest.raises(ValueError) as from_set:
+                Graph(2, frozenset(bad))
+            with pytest.raises(ValueError) as from_generator:
+                Graph(2, (pair for pair in bad))
+            assert str(from_generator.value) == str(from_set.value), bad
+
 
 class TestPath:
     def test_examples(self):
