@@ -17,7 +17,8 @@ The routes, for the grid graph P_n box P_m:
   band H gives det(H)**2, in about (m/2) * (s/2)**2 steps, whatever n is.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
-  lc(q_n) = (-1)**n.
+  lc(q_n) = (-1)**n.  Each q_k is x**(k % 2) times a polynomial in x**2,
+  so the remainder sequence runs on those half-degree polynomials.
 * closed: the gcd rule, 0 when gcd(n+1, m+1) > 1, else (-1)**(n*m/2).
 
 All "evaluate at every root of q_k" identities are checked as exact
@@ -204,15 +205,36 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     return _bipartite_det((n * m + 1) // 2, n * m // 2, block_bands(n, m))
 
 
+def _square_half(k: int) -> IntPoly:
+    """F_k with q_k(x) = x**(k % 2) * F_k(x**2), of degree k // 2, read off
+    q_k's coefficients; raises if one of the other parity is nonzero."""
+    coeffs = path_charpoly(k).coeffs
+    if any(coeffs[1 - k % 2 :: 2]):
+        raise ArithmeticError(f"q_{k} is not x**{k % 2} times a polynomial in x**2")
+    return IntPoly(coeffs[k % 2 :: 2])
+
+
 def det_resultant(n: int, m: int) -> int:
     """Root product via the resultant, no roots computed.
 
     Res(q_n, q_m) = lc(q_n)**m * prod q_m(root) and lc(q_n) = (-1)**n, so
     the determinant (the bare root product) is (-1)**(n*m) * Res(q_n, q_m).
+    The remainder sequence runs on the halves F_n, F_m of
+    :func:`_square_half`, by three facts that follow from
+    Res(f, g) = lc(f)**deg g * prod g(roots of f):
+    Res(F(x**2), G(x**2)) = Res(F, G)**2, Res(x, g) = g(0) and
+    Res(f, x) = (-1)**deg f * f(0).  For odd nm, x divides q_n and q_m and
+    the value is 0.  Otherwise it is c * Res(F_n, F_m)**2, with c = q_m(0)
+    for odd n, q_n(0) for odd m (deg q_n even), and 1 when both are even;
+    (-1)**(n*m) is then 1.
     """
     _require_positive(n=n, m=m)
-    res = resultant(path_charpoly(n), path_charpoly(m))
-    return -res if (n * m) % 2 else res
+    f, g = _square_half(n), _square_half(m)
+    if n * m % 2:
+        return 0
+    r = resultant(f, g)
+    c = g.coeffs[0] if n % 2 else f.coeffs[0] if m % 2 else 1
+    return c * r * r
 
 
 def det_closed_form(n: int, m: int) -> int:
@@ -350,7 +372,11 @@ def check_product_n_plus_1(n: int) -> IdentityReport:
 
 def check_symmetry(n: int, m: int) -> IdentityReport:
     """Swapping the two path sizes cannot change the root product (the two
-    box products are isomorphic graphs)."""
+    box products are isomorphic graphs).
+
+    det_resultant squares Res(F_n, F_m), so this check cannot see the sign
+    that swapping the arguments of a resultant brings; the argument-swap
+    test of ``resultant`` in test_polynomials covers that sign."""
     _require_positive(n=n, m=m)
     forward = det_resultant(n, m)
     backward = det_resultant(m, n)

@@ -39,9 +39,15 @@ from boxdet.det_methods import (
     identity_suite,
     verify_all,
 )
-from boxdet.exact_linalg import IntMatrix, bareiss_band_det, bareiss_det
+from boxdet.exact_linalg import (
+    IntMatrix,
+    bareiss_band_det,
+    bareiss_det,
+    cofactor_det,
+    sylvester_matrix,
+)
 from boxdet.graphs import adjacency_matrix, box_product, path
-from boxdet.polynomials import ONE, path_charpoly
+from boxdet.polynomials import ONE, X, IntPoly, path_charpoly, resultant
 
 
 class TestFrozenValues:
@@ -277,21 +283,91 @@ class TestDirectBand:
                 assert sizes == ([] if n * m % 2 else [n * m // 2]), (n, m)
 
 
+def _squared(p: IntPoly) -> IntPoly:
+    """p(x**2)."""
+    return IntPoly(tuple(c for a in p.coeffs for c in (a, 0)))
+
+
+def _checked_resultant(f: IntPoly, g: IntPoly) -> int:
+    """resultant(f, g), checked against cofactor expansion of the Sylvester
+    matrix wherever that matrix has size 1 to 10."""
+    value = resultant(f, g)
+    if 1 <= f.degree + g.degree <= 10:
+        assert value == cofactor_det(sylvester_matrix(f, g)), (f, g)
+    return value
+
+
+# Integer polynomials of degree 0 to 3, with a nonzero leading coefficient.
+small_int_polys = st.tuples(
+    st.lists(st.integers(-5, 5), max_size=3),
+    st.integers(-5, 5).filter(bool),
+).map(lambda parts: IntPoly((*parts[0], parts[1])))
+
+
+class TestResultantHalves:
+    def test_matches_the_full_route_up_to_60(self):
+        for n in range(1, 61):
+            for m in range(1, 61):
+                full = (-1) ** (n * m) * resultant(path_charpoly(n), path_charpoly(m))
+                assert det_resultant(n, m) == full, (n, m)
+
+    def test_one_half_degree_sequence_for_even_nm_and_none_for_odd_nm(
+        self, monkeypatch
+    ):
+        import boxdet.det_methods as dm
+
+        degrees = []
+
+        def spy(f, g):
+            degrees.append((f.degree, g.degree))
+            return resultant(f, g)
+
+        monkeypatch.setattr(dm, "resultant", spy)
+        for n in range(1, 31):
+            for m in range(1, 31):
+                degrees.clear()
+                assert det_resultant(n, m) == det_closed_form(n, m), (n, m)
+                assert degrees == ([] if n * m % 2 else [(n // 2, m // 2)]), (n, m)
+
+    def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
+        import boxdet.det_methods as dm
+
+        monkeypatch.setattr(dm, "path_charpoly", lambda k: path_charpoly(k) + X)
+        with pytest.raises(ArithmeticError):
+            det_resultant(4, 3)
+
+    @given(small_int_polys, small_int_polys)
+    def test_resultant_of_polynomials_in_x_squared(self, f, g):
+        """Res(F(x**2), G(x**2)) = Res(F, G)**2."""
+        assert _checked_resultant(_squared(f), _squared(g)) == (
+            _checked_resultant(f, g) ** 2
+        )
+
+    @given(small_int_polys)
+    def test_resultant_with_x(self, f):
+        """Res(x, g) = g(0) and Res(f, x) = (-1)**deg f * f(0)."""
+        assert _checked_resultant(X, f) == f.coeffs[0]
+        assert _checked_resultant(f, X) == (-1) ** f.degree * f.coeffs[0]
+
+
 class TestResultantCost:
     def test_long_path_memory_and_time(self):
         """q_3000 is built from its own coefficients, with no q_0..q_2999
-        kept, and pseudo-division works only under the divisor."""
-        path_charpoly.cache_clear()
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            assert det_resultant(1, 3000) == det_closed_form(1, 3000)
-            elapsed = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-        assert elapsed < 1.0
+        kept.  For n = 2 the remainder sequence divides F_3000, of degree
+        1500, by the linear F_2, and pseudo-division works only under the
+        divisor; F_1 is constant, so n = 1 runs no pseudo-division."""
+        for n in (1, 2):
+            path_charpoly.cache_clear()
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                assert det_resultant(n, 3000) == det_closed_form(n, 3000), n
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, n
+            assert elapsed < 1.0, n
 
 
 class TestAgreement:
