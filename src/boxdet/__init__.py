@@ -25,14 +25,8 @@ from .det_methods import (
     identity_suite,
     verify_all,
 )
-from .exact_linalg import (
-    IntMatrix,
-    bareiss_det,
-    cofactor_det,
-    sylvester_matrix,
-)
-from .graphs import Graph, adjacency_matrix, box_product, path
-from .polynomials import IntPoly, Parity, parity, path_charpoly, pseudo_rem, resultant
+from .graphs import Graph, box_product, path
+from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 __version__ = "1.0.0"
 
@@ -42,13 +36,9 @@ __all__ = [
     "DetReport",
     "Graph",
     "IdentityReport",
-    "IntMatrix",
     "IntPoly",
-    "Parity",
     "SizeLimitError",
     "__version__",
-    "adjacency_matrix",
-    "bareiss_det",
     "box_product",
     "check_annihilation",
     "check_power",
@@ -56,17 +46,14 @@ __all__ = [
     "check_shift",
     "check_splitting",
     "check_symmetry",
-    "cofactor_det",
     "det_block",
     "det_closed_form",
     "det_direct",
     "det_resultant",
     "identity_suite",
-    "parity",
     "path",
     "path_charpoly",
     "pseudo_rem",
     "resultant",
-    "sylvester_matrix",
     "verify_all",
 ]

@@ -1,56 +1,13 @@
-"""Arbitrary-precision integer matrices and exact determinants.
+"""Exact determinants of integer band matrices.
 
-Two independent determinant routes are deliberately kept side by side:
-:func:`bareiss_band_det` (fraction-free elimination on band rows, the
-production engine and the only code that knows band storage, with
-:func:`bareiss_det` slicing dense rows) and :func:`cofactor_det`
-(first-row expansion, a small brute-force oracle capped at size 10).
-Every exact division inside Bareiss is checked; a nonzero remainder means
-a logic bug and raises immediately instead of corrupting the result.
+:func:`bareiss_band_det` is fraction-free elimination on band rows: the
+engine under ``direct`` and ``block``, and the only code that knows band
+storage.  Every exact division inside it is checked; a nonzero remainder
+means a logic bug and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
-
-from .polynomials import IntPoly
-
-COFACTOR_SIZE_LIMIT = 10
 BandRow = tuple[int, list[int]]  # (start column, entries); see bareiss_band_det
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Square matrix of Python ints, row-major, dimension >= 1; any
-    iterable of rows is stored as a tuple of tuples."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        if not rows:
-            raise ValueError("matrix dimension must be >= 1")
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-def bareiss_det(m: IntMatrix) -> int:
-    """Exact determinant by :func:`bareiss_band_det`, each row sliced from
-    its first to its last nonzero entry (a zero row is stored empty)."""
-    rows = []
-    for i, row in enumerate(m.rows):
-        nonzero = list(compress(range(m.size), row))
-        if nonzero:
-            rows.append((nonzero[0], list(row[nonzero[0] : nonzero[-1] + 1])))
-        else:
-            rows.append((i, []))
-    return bareiss_band_det(rows)
 
 
 def bareiss_band_det(rows: list[BandRow]) -> int:
@@ -144,52 +101,3 @@ def bareiss_band_det(rows: list[BandRow]) -> int:
         prev = pivot
     j = n - 1 - first[n - 1]
     return sign * a[n - 1][j] if j < len(a[n - 1]) else 0
-
-
-def cofactor_det(m: IntMatrix) -> int:
-    """Determinant by first-row cofactor expansion; the independent oracle.
-
-    Factorial cost, so the size is capped at 10 (~3.6M terms at the limit).
-    Zero entries contribute nothing and are skipped.
-    """
-    if m.size > COFACTOR_SIZE_LIMIT:
-        raise ValueError(
-            f"cofactor expansion is capped at size {COFACTOR_SIZE_LIMIT}, got {m.size}"
-        )
-    return _expand(m.rows)
-
-
-def _expand(rows: tuple[tuple[int, ...], ...]) -> int:
-    if len(rows) == 1:
-        return rows[0][0]
-    total = 0
-    for j, c in enumerate(rows[0]):
-        if c == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        term = c * _expand(minor)
-        total += -term if j % 2 else term
-    return total
-
-
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
-    """Sylvester matrix of f and g; its determinant equals resultant(f, g).
-
-    deg(g) rows of shifted f-coefficients (descending) stacked on deg(f)
-    rows of shifted g-coefficients.  Requires deg(f) + deg(g) >= 1 since a
-    0x0 matrix is not representable.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("Sylvester matrix requires nonzero polynomials")
-    n = int(f.degree)
-    m = int(g.degree)
-    if n + m == 0:
-        raise ValueError("both polynomials are constant; the matrix would be empty")
-    fdesc = tuple(reversed(f.coeffs))
-    gdesc = tuple(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append((0,) * i + fdesc + (0,) * (m - 1 - i))
-    for i in range(n):
-        rows.append((0,) * i + gdesc + (0,) * (n - 1 - i))
-    return IntMatrix(rows)

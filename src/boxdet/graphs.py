@@ -1,8 +1,8 @@
-"""Paths, box products, dense adjacency matrices, and the band rows of a
-bipartite graph's biadjacency matrix.
+"""Paths, box products, and the band rows of a bipartite graph's
+biadjacency matrix.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when a matrix or band is emitted.
+only when a band is emitted.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import NoReturn
 
-from .exact_linalg import BandRow, IntMatrix
+from .exact_linalg import BandRow
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,6 @@ def box_product(g: Graph, h: Graph) -> Graph:
         ((i - 1) * m + j, (ip - 1) * m + j) for i, ip in g.edges for j in range(1, m + 1)
     )
     return Graph(n * m, chain(within, across))
-
-
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    """Symmetric 0/1 matrix with zero diagonal, indexed by vertex order."""
-    n = g.n_vertices
-    rows = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        rows[u - 1][v - 1] = 1
-        rows[v - 1][u - 1] = 1
-    return IntMatrix(rows)
 
 
 def biadjacency_band(g: Graph) -> tuple[int, int, list[BandRow]]:

@@ -14,28 +14,19 @@ in O(n) exactly checked steps, with no earlier q_k kept; a bounded cache
 holds the most recently used values.  Under this determinant convention the
 leading coefficient of the n-vertex path polynomial is ``(-1)**n``, not +1;
 that fact is asserted on every value rather than assumed.
+
+Division is exact too: :func:`pseudo_rem` divides by a polynomial with a
+unit leading coefficient, and :func:`resultant` runs the subresultant
+remainder sequence, checking every division it makes.
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 NEG_INFINITY = float("-inf")
-
-
-class Parity(enum.Enum):
-    """Coefficient-support classification of a polynomial.
-
-    EVEN means every odd-degree coefficient vanishes, ODD the reverse; the
-    zero polynomial counts as EVEN by convention.
-    """
-
-    EVEN = "even"
-    ODD = "odd"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,6 @@ class IntPoly:
 
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
-X = IntPoly((0, 1))
 
 
 @lru_cache(maxsize=256)
@@ -160,17 +150,6 @@ def path_charpoly(n: int) -> IntPoly:
     q = IntPoly(tuple(coeffs))
     assert q.degree == n and q.leading_coefficient == (-1) ** n
     return q
-
-
-def parity(p: IntPoly) -> Parity:
-    """Classify p as EVEN, ODD, or NEITHER by its coefficient support."""
-    even = all(c == 0 for c in p.coeffs[1::2])
-    odd = all(c == 0 for c in p.coeffs[0::2])
-    if even:
-        return Parity.EVEN
-    if odd:
-        return Parity.ODD
-    return Parity.NEITHER
 
 
 def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -250,8 +229,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     Res(f, g) = lc(f)**deg(g) * product of g over the roots of f, computed
     exactly over the integers by the subresultant polynomial remainder
     sequence (no root is ever evaluated).  Zero exactly when f and g share
-    a root.  The Sylvester-determinant route lives in exact_linalg as an
-    independent cross-check.
+    a root.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant requires nonzero polynomials")

@@ -1,34 +1,168 @@
-"""Independent oracles used only by the tests.
+"""Oracles and helpers used only by the tests; none of them is in the package.
 
-Nothing here shares code with the library paths it checks: the
-characteristic polynomial comes from cofactor expansion over
-polynomial-entry matrices and from the rolling three-term recurrence (the
-check on the binomial expansion), products and powers come from the plain
-double-loop convolution (the check on the zero-skipping product and on
-square-and-multiply), pseudo-remainders come from dense
-schoolbook pseudo-division that rescales the whole dividend at every step
-(the check on the windowed routine), polynomials are evaluated at a matrix
-by Horner's rule over their coefficients with plain list-of-rows sums and
-products, q_k(-A(P_m)) also comes from the unfolded matrix recurrence
-Q_k = B Q_{k-1} - Q_{k-2} (both the check on the block method's closed-form
-parity half, which is expanded back to a dense half here), determinants
-come from dense Bareiss elimination over every row and column (the check
-on the banded production routine), a bipartite graph's colour classes
-and biadjacency band are read from its dense adjacency matrix by repeated
-sweeps with no queue (the check on the breadth-first band built from a
-graph's edges),
-eigenvalues come from the known path-spectrum cosine formula, and random
-matrices are drawn from a seeded generator.
+The oracles share no code with the library paths they check:
+
+* the characteristic polynomial comes from cofactor expansion over
+  polynomial-entry matrices and from the rolling three-term recurrence
+  (the check on the binomial expansion);
+* products and powers come from the plain double-loop convolution (the
+  check on the zero-skipping product and on square-and-multiply);
+* pseudo-remainders come from dense schoolbook pseudo-division that
+  rescales the whole dividend at every step (the check on the windowed
+  routine);
+* polynomials are evaluated at a matrix by Horner's rule with plain
+  list-of-rows sums and products, and q_k(-A(P_m)) also comes from the
+  unfolded matrix recurrence Q_k = B Q_{k-1} - Q_{k-2} (both the check on
+  the block method's closed-form parity half, which is expanded back to a
+  dense half here);
+* determinants come from dense Bareiss elimination over every row and
+  column (the check on the banded production routine) and from first-row
+  cofactor expansion, and resultants from the Sylvester matrix;
+* a graph's dense adjacency matrix is written from its edges, and a
+  bipartite graph's colour classes and biadjacency band are read from it
+  by repeated sweeps with no queue (the check on the breadth-first band
+  built from a graph's edges);
+* a polynomial's parity is read from its coefficient support;
+* eigenvalues come from the known path-spectrum cosine formula, and random
+  matrices are drawn from a seeded generator.
+
+:func:`bareiss_det` is the one exception.  It is not an oracle: it slices
+the rows of an :class:`IntMatrix` into band rows for the production
+:func:`boxdet.exact_linalg.bareiss_band_det`, so that dense matrices can
+reach that core and :func:`cofactor_det` can certify it.
 """
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from operator import add, sub
 
-from boxdet.exact_linalg import IntMatrix
+from boxdet.exact_linalg import bareiss_band_det
+from boxdet.graphs import Graph
 from boxdet.polynomials import ONE, ZERO, IntPoly
+
+COFACTOR_SIZE_LIMIT = 10
+X = IntPoly((0, 1))
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Square matrix of Python ints, row-major, dimension >= 1; any
+    iterable of rows is stored as a tuple of tuples."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(row) for row in self.rows)
+        if not rows:
+            raise ValueError("matrix dimension must be >= 1")
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+
+def bareiss_det(m: IntMatrix) -> int:
+    """Exact determinant by :func:`boxdet.exact_linalg.bareiss_band_det`,
+    each row sliced from its first to its last nonzero entry (a zero row is
+    stored empty)."""
+    rows = []
+    for i, row in enumerate(m.rows):
+        nonzero = list(itertools.compress(range(m.size), row))
+        if nonzero:
+            rows.append((nonzero[0], list(row[nonzero[0] : nonzero[-1] + 1])))
+        else:
+            rows.append((i, []))
+    return bareiss_band_det(rows)
+
+
+def cofactor_det(m: IntMatrix) -> int:
+    """Determinant by first-row cofactor expansion; the independent oracle.
+
+    Factorial cost, so the size is capped at 10 (~3.6M terms at the limit).
+    Zero entries contribute nothing and are skipped.
+    """
+    if m.size > COFACTOR_SIZE_LIMIT:
+        raise ValueError(
+            f"cofactor expansion is capped at size {COFACTOR_SIZE_LIMIT}, got {m.size}"
+        )
+    return _expand(m.rows)
+
+
+def _expand(rows: tuple[tuple[int, ...], ...]) -> int:
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, c in enumerate(rows[0]):
+        if c == 0:
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
+        term = c * _expand(minor)
+        total += -term if j % 2 else term
+    return total
+
+
+def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
+    """Sylvester matrix of f and g; its determinant equals resultant(f, g).
+
+    deg(g) rows of shifted f-coefficients (descending) stacked on deg(f)
+    rows of shifted g-coefficients.  Requires deg(f) + deg(g) >= 1 since a
+    0x0 matrix is not representable.
+    """
+    if f.is_zero or g.is_zero:
+        raise ValueError("Sylvester matrix requires nonzero polynomials")
+    n = int(f.degree)
+    m = int(g.degree)
+    if n + m == 0:
+        raise ValueError("both polynomials are constant; the matrix would be empty")
+    fdesc = tuple(reversed(f.coeffs))
+    gdesc = tuple(reversed(g.coeffs))
+    rows = []
+    for i in range(m):
+        rows.append((0,) * i + fdesc + (0,) * (m - 1 - i))
+    for i in range(n):
+        rows.append((0,) * i + gdesc + (0,) * (n - 1 - i))
+    return IntMatrix(rows)
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    """Symmetric 0/1 matrix with zero diagonal, indexed by vertex order."""
+    n = g.n_vertices
+    rows = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        rows[u - 1][v - 1] = 1
+        rows[v - 1][u - 1] = 1
+    return IntMatrix(rows)
+
+
+class Parity(enum.Enum):
+    """Coefficient-support classification of a polynomial.
+
+    EVEN means every odd-degree coefficient vanishes, ODD the reverse; the
+    zero polynomial counts as EVEN by convention.
+    """
+
+    EVEN = "even"
+    ODD = "odd"
+    NEITHER = "neither"
+
+
+def parity(p: IntPoly) -> Parity:
+    """Classify p as EVEN, ODD, or NEITHER by its coefficient support."""
+    even = all(c == 0 for c in p.coeffs[1::2])
+    odd = all(c == 0 for c in p.coeffs[0::2])
+    if even:
+        return Parity.EVEN
+    if odd:
+        return Parity.ODD
+    return Parity.NEITHER
 
 
 def _poly_det(rows: list[list[IntPoly]]) -> IntPoly:

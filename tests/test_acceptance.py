@@ -11,7 +11,15 @@ import random
 import re
 import time
 
-from _oracles import random_matrix
+from _oracles import (
+    Parity,
+    adjacency_matrix,
+    bareiss_det,
+    cofactor_det,
+    parity,
+    random_matrix,
+    sylvester_matrix,
+)
 from boxdet.cli import main
 from boxdet.det_methods import (
     check_product_n_plus_1,
@@ -21,9 +29,8 @@ from boxdet.det_methods import (
     det_resultant,
     identity_suite,
 )
-from boxdet.exact_linalg import bareiss_det, cofactor_det, sylvester_matrix
-from boxdet.graphs import adjacency_matrix, box_product, path
-from boxdet.polynomials import Parity, parity, path_charpoly, resultant
+from boxdet.graphs import box_product, path
+from boxdet.polynomials import path_charpoly, resultant
 
 TIMING = re.compile(r"\[\d+\.\d{3} ms\]")
 

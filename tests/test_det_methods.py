@@ -11,6 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (
+    X,
+    IntMatrix,
+    adjacency_matrix,
+    bareiss_det,
+    cofactor_det,
     dense_bareiss_det,
     expand_block_band,
     grid_eigenvalue_product,
@@ -18,6 +23,7 @@ from _oracles import (
     parity_half,
     recurrence_block_matrices,
     scale_rows,
+    sylvester_matrix,
 )
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
@@ -39,15 +45,9 @@ from boxdet.det_methods import (
     identity_suite,
     verify_all,
 )
-from boxdet.exact_linalg import (
-    IntMatrix,
-    bareiss_band_det,
-    bareiss_det,
-    cofactor_det,
-    sylvester_matrix,
-)
-from boxdet.graphs import adjacency_matrix, box_product, path
-from boxdet.polynomials import ONE, X, IntPoly, path_charpoly, resultant
+from boxdet.exact_linalg import bareiss_band_det
+from boxdet.graphs import box_product, path
+from boxdet.polynomials import ONE, IntPoly, path_charpoly, resultant
 
 
 class TestFrozenValues:

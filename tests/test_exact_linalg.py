@@ -9,24 +9,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    COFACTOR_SIZE_LIMIT,
+    X,
+    IntMatrix,
     add_rows,
+    adjacency_matrix,
+    bareiss_det,
+    cofactor_det,
     dense_bareiss_det,
     identity_rows,
     matpoly_eval,
     mul_rows,
     random_matrix,
     scale_rows,
-)
-from boxdet.exact_linalg import (
-    COFACTOR_SIZE_LIMIT,
-    IntMatrix,
-    bareiss_band_det,
-    bareiss_det,
-    cofactor_det,
     sylvester_matrix,
 )
-from boxdet.graphs import adjacency_matrix, box_product, path
-from boxdet.polynomials import ONE, X, ZERO, IntPoly, path_charpoly, resultant
+from boxdet.exact_linalg import bareiss_band_det
+from boxdet.graphs import box_product, path
+from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, resultant
 
 
 @st.composite

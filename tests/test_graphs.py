@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import dense_bareiss_det, dense_biadjacency_band
-from boxdet.exact_linalg import IntMatrix, bareiss_band_det
-from boxdet.graphs import (
-    Graph,
+from _oracles import (
+    IntMatrix,
     adjacency_matrix,
-    biadjacency_band,
-    box_product,
-    path,
+    dense_bareiss_det,
+    dense_biadjacency_band,
 )
+from boxdet.exact_linalg import bareiss_band_det
+from boxdet.graphs import Graph, biadjacency_band, box_product, path
 
 
 class TestGraph:

@@ -9,9 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import (
+    X,
+    Parity,
     charpoly_by_cofactor,
     convolve,
     dense_prem,
+    parity,
     recurrence_charpoly,
     recurrence_charpolys,
     repeated_power,
@@ -19,12 +22,9 @@ from _oracles import (
 from boxdet.polynomials import (
     NEG_INFINITY,
     ONE,
-    X,
     ZERO,
     IntPoly,
-    Parity,
     _prem,
-    parity,
     path_charpoly,
     poly_to_json,
     pseudo_rem,
@@ -189,7 +189,10 @@ class TestPathCharpoly:
             assert path_charpoly(n) == recurrence_charpoly(n)
 
     def test_cache_is_bounded(self):
-        assert path_charpoly.cache_info().maxsize is not None
+        assert path_charpoly.cache_info().maxsize == 256
+        for n in range(300):
+            path_charpoly(n)
+        assert path_charpoly.cache_info().currsize <= 256
 
 
 class TestParity:

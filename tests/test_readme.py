@@ -1,5 +1,6 @@
 """The README's Library example and Command line examples run as written
-against the package."""
+against the package, and the package exports the API its Library section
+describes."""
 from __future__ import annotations
 
 import re
@@ -8,7 +9,63 @@ import subprocess
 import sys
 from pathlib import Path
 
+import boxdet
+import boxdet.exact_linalg
+import boxdet.graphs
+import boxdet.polynomials
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_API = [
+    "DEFAULT_BLOCK_CEILING",
+    "DEFAULT_DIRECT_CEILING",
+    "DetReport",
+    "Graph",
+    "IdentityReport",
+    "IntPoly",
+    "SizeLimitError",
+    "__version__",
+    "box_product",
+    "check_annihilation",
+    "check_power",
+    "check_product_n_plus_1",
+    "check_shift",
+    "check_splitting",
+    "check_symmetry",
+    "det_block",
+    "det_closed_form",
+    "det_direct",
+    "det_resultant",
+    "identity_suite",
+    "path",
+    "path_charpoly",
+    "pseudo_rem",
+    "resultant",
+    "verify_all",
+]
+
+# Test oracles, kept in tests/_oracles.py and out of the package.
+ORACLE_NAMES = (
+    "COFACTOR_SIZE_LIMIT",
+    "IntMatrix",
+    "Parity",
+    "X",
+    "_expand",
+    "adjacency_matrix",
+    "bareiss_det",
+    "cofactor_det",
+    "parity",
+    "sylvester_matrix",
+)
+
+
+def test_public_api():
+    assert sorted(boxdet.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(boxdet, name), name
+    for module in (boxdet, boxdet.exact_linalg, boxdet.graphs, boxdet.polynomials):
+        for name in ORACLE_NAMES:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_library_example_runs():
