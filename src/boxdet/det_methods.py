@@ -13,8 +13,8 @@ The routes, for the grid graph P_n box P_m:
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
   from its closed form (the method of images), after n folds onto a step
   count s in -1..m.  Its two parity halves have one determinant up to a
-  known sign, so direct's two-block rule gives the sign and one half-size
-  band H gives det(H)**2, in about (m/2) * (s/2)**2 steps, whatever n is.
+  known sign, so direct's two-block rule gives the sign.  One half H is an
+  interval matrix, so det(H)**2 is a union-find pass over its m/2 rows' runs.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
   lc(q_n) = (-1)**n.  Each q_k is x**(k % 2) times a polynomial in x**2,
@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .exact_linalg import BandRow, bareiss_band_det
+from .exact_linalg import bareiss_band_det
 from .graphs import biadjacency_band, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
@@ -123,16 +124,16 @@ class IdentityReport:
         return self.witness is None
 
 
-def _bipartite_det(k0: int, k1: int, rows: list[BandRow]) -> int:
+def _bipartite_det(k0: int, k1: int, det_squared: Callable[[], int]) -> int:
     """Determinant of [[0, C], [C^T, 0]], with C of size k0 x k1: 0 unless
     k0 = k1 = k, since the rank is at most 2 min(k0, k1), and else
     (-1)**k det(C)**2, since swapping the two block rows (k**2
-    transpositions) leaves diag(C^T, C).  ``rows`` are the band of any H
-    with det(H)**2 = det(C)**2; only H is eliminated."""
+    transpositions) leaves diag(C^T, C).  ``det_squared`` returns det(C)**2
+    and is called only when k0 = k1."""
     if k0 != k1:
         return 0
-    d = bareiss_band_det(rows)
-    return -d * d if k0 % 2 else d * d
+    d2 = det_squared()
+    return -d2 if k0 % 2 else d2
 
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
@@ -155,38 +156,51 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
     grid = box_product(path(max(n, m)), path(min(n, m)))
-    return _bipartite_det(*biadjacency_band(grid))
+    k0, k1, rows = biadjacency_band(grid)
+    return _bipartite_det(k0, k1, lambda: bareiss_band_det(rows) ** 2)
 
 
-def block_bands(n: int, m: int) -> list[BandRow]:
-    """The one parity half of q_n(-B) that :func:`det_block` eliminates,
-    for the m-path adjacency matrix B, written down from its closed form.
+def block_runs(n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The rows of the parity half of q_n(-B) that :func:`det_block` reads,
+    for the m-path adjacency matrix B, from its closed form.
 
-    n folds onto s in -1..m and a sign ``unit``, since q_k(-B) has period
-    2(m+1) in k and Q_{m+j} = -Q_{m-j}; s has the parity of n.  By the
-    method of images, entry (i, j), 1-based, is ``unit`` when j = i + s
-    (mod 2) and max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else
-    0.  The half holds the rows i of the parity of n, so its columns are
-    the even j, column j at half column j // 2 - 1; it is empty for even n
-    and m = 1.  Each row is one run of ``unit``, given as the run's first
-    half column and its entries for :func:`~boxdet.exact_linalg.bareiss_band_det`;
-    |i - j| <= s, so the half has lower bandwidth at most max(1, ceil(s/2)).
+    n folds onto s in -1..m and a sign, since q_k(-B) has period 2(m+1) in
+    k and Q_{m+j} = -Q_{m-j}; s has the parity of n.  By the method of
+    images, entry (i, j), 1-based, is that sign when j = i + s (mod 2) and
+    max(i - s, s - i + 2) <= j <= min(i + s, 2m - s - i), else 0.  The half
+    holds the rows i of the parity of n, so its columns are the even j,
+    column j at half column j // 2 - 1; it is empty for even n and m = 1.
+    Each row is one run of the sign, yielded as the ``(start, end)`` of the
+    half columns start..end-1 it covers; det(H)**2 cannot see the sign.
     """
-    s = n % (2 * (m + 1))
-    unit = 1
-    if s > m:
-        s, unit = 2 * m - s, -1
-    rows: list[BandRow] = []
+    s = min(k := n % (2 * (m + 1)), 2 * m - k)
     for i in range(2 - n % 2, m + 1, 2):
-        # Half columns of the run's first j and one past its last; none if empty.
-        start = (max(i - s, s - i + 2) - 1) // 2
-        end = (min(i + s, 2 * m - s - i) + 1) // 2
-        rows.append((start, [unit] * (end - start)))
-    return rows
+        yield (max(i - s, s - i + 2) - 1) // 2, (min(i + s, 2 * m - s - i) + 1) // 2
+
+
+def _runs_det_squared(runs: Iterable[tuple[int, int]], k: int) -> int:
+    """det(H)**2 for the k x k matrix H whose r-th row is 1 on columns a..b-1
+    of the r-th run (a, b), b <= k.  Taking from each column the one left of
+    it leaves rows e_a - e_b, or e_a when b = k: the incidence matrix of the
+    edges {a, b} on nodes 0..k with node k grounded, of determinant +-1 for a
+    spanning tree and 0 otherwise (the matrix-tree lemma).  Union-find with
+    path halving returns 0 at the first empty run or edge closing a cycle."""
+    parent = list(range(k + 1))
+    for a, b in runs:
+        if b <= a:
+            return 0
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            return 0
+        parent[a] = b
+    return 1
 
 
 def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
-    """Block reduction: det q_n(-B) from the half of :func:`block_bands`.
+    """Block reduction: det q_n(-B) from the half of :func:`block_runs`.
 
     With the odd indices first, B = [[0, D], [D^T, 0]].  For odd n,
     q_n(-B) is symmetric, [[0, X], [X^T, 0]].  For even n it is
@@ -202,7 +216,8 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
         raise SizeLimitError(
             f"path size {m} exceeds the block-method ceiling of {ceiling}"
         )
-    return _bipartite_det((n * m + 1) // 2, n * m // 2, block_bands(n, m))
+    k0, k1 = (n * m + 1) // 2, n * m // 2
+    return _bipartite_det(k0, k1, lambda: _runs_det_squared(block_runs(n, m), m // 2))
 
 
 def _square_half(k: int) -> IntPoly:

@@ -1,9 +1,9 @@
 """Exact determinants of integer band matrices.
 
 :func:`bareiss_band_det` is fraction-free elimination on band rows: the
-engine under ``direct`` and ``block``, and the only code that knows band
-storage.  Every exact division inside it is checked; a nonzero remainder
-means a logic bug and raises immediately instead of corrupting the result.
+engine under ``direct``, and the only code that knows band storage.  Every
+exact division inside it is checked; a nonzero remainder means a logic bug
+and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
@@ -15,11 +15,11 @@ def bareiss_band_det(rows: list[BandRow]) -> int:
     matrix, given as its rows; no rows is the empty matrix, of determinant
     1.  Row i is ``(start, entries)``: the column of its first stored entry
     (ValueError if negative), then the entries up to anywhere at or past
-    its last nonzero one, even none or left of the diagonal.  The lower bandwidth ``low`` is
-    the farthest a nonempty row starts left of its diagonal, at least 1.
-    Rows that start right of column max(0, i - low) are first left-padded
-    to start there, as in LAPACK band storage; elimination rewrites the
-    entry lists in place.
+    its last nonzero one, even none or left of the diagonal.  The lower
+    bandwidth ``low`` is the farthest a nonempty row starts left of its
+    diagonal, at least 1.  Rows that start right of column max(0, i - low)
+    are first left-padded to start there, as in LAPACK band storage;
+    elimination rewrites the entry lists in place.
 
     Intermediate entries are minors of the input, so they stay integral and
     growth is bounded; each elimination step divides by the previous pivot
@@ -36,9 +36,9 @@ def bareiss_band_det(rows: list[BandRow]) -> int:
     farther of the two rows' right ends, the shorter one padded with zeros
     so that both are zipped whole.  A row with no entry in the pivot column
     is only scaled by pivot / prev: by the quotient when prev divides
-    pivot, as when pivots of -1 and 1 alternate in ``det_block``'s
-    half-bands, and not at all when that quotient is 1.  A matrix of size
-    N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
+    pivot, as when every pivot is -1 or 1, and not at all when that
+    quotient is 1.  A matrix of size N with both bandwidths b costs
+    O(N b^2) steps and O(N b) memory.
     """
     n = len(rows)
     if not n:

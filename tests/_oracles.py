@@ -18,6 +18,9 @@ The oracles share no code with the library paths they check:
 * determinants come from dense Bareiss elimination over every row and
   column (the check on the banded production routine) and from first-row
   cofactor expansion, and resultants from the Sylvester matrix;
+* det(H)**2 of an interval matrix H, whose rows are runs of ones, comes
+  from expanding the runs into a dense H and eliminating it densely (the
+  check on the block method's union-find over the runs' ends);
 * a graph's dense adjacency matrix is written from its edges, and a
   bipartite graph's colour classes and biadjacency band are read from it
   by repeated sweeps with no queue (the check on the breadth-first band
@@ -37,6 +40,7 @@ import enum
 import itertools
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -313,25 +317,24 @@ def recurrence_block_matrices(m: int):
         ]
 
 
-def expand_block_band(rows: list[tuple[int, list[int]]], m: int) -> list[list[int]]:
-    """The dense half that :func:`boxdet.det_methods.block_bands` describes:
-    one row per band row, over the m // 2 half columns, half column c being
-    the 1-based column j = 2c + 2.  A stored entry outside them raises
-    IndexError."""
-    dense = [[0] * (m // 2) for _ in rows]
-    for r, (start, row) in enumerate(rows):
-        if start < 0:
-            raise IndexError(f"half row {r} starts at column {start}")
-        for c, x in enumerate(row, start):
-            if x:
-                dense[r][c] = x
+def expand_block_band(runs: Iterable[tuple[int, int]], m: int) -> list[list[int]]:
+    """The dense half that :func:`boxdet.det_methods.block_runs` describes,
+    up to its one global sign: one row per run ``(start, end)``, 1 on half
+    columns start..end-1 and 0 elsewhere, over the m // 2 half columns, half
+    column c being the 1-based column j = 2c + 2.  A nonempty run reaching
+    outside them raises IndexError."""
+    dense = []
+    for r, (start, end) in enumerate(runs):
+        if start < end and (start < 0 or end > m // 2):
+            raise IndexError(f"half row {r} runs over columns {start}..{end - 1}")
+        dense.append([int(start <= c < end) for c in range(m // 2)])
     return dense
 
 
 def parity_half(dense: list[list[int]], n: int) -> list[list[int]]:
     """The rows of a dense m x m matrix whose 1-based index has the parity
     of n, over its even 1-based columns: the half of q_n(-B) that
-    :func:`boxdet.det_methods.block_bands` stores."""
+    :func:`boxdet.det_methods.block_runs` describes."""
     return [row[1::2] for row in dense[1 - n % 2 :: 2]]
 
 

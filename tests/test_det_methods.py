@@ -7,7 +7,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -31,7 +31,8 @@ from boxdet.det_methods import (
     DetReport,
     IdentityReport,
     SizeLimitError,
-    block_bands,
+    _runs_det_squared,
+    block_runs,
     check_annihilation,
     check_power,
     check_product_n_plus_1,
@@ -104,10 +105,31 @@ class TestCeiling:
         assert det_block(1, 61, ceiling=61) == det_closed_form(1, 61)
 
 
+def _up_to_sign(half: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The dense half and its negation: q_n(-B)'s half is one of the two."""
+    return half, scale_rows(-1, half)
+
+
+def _interval_case(k: int):
+    """k runs over the columns 0..k-1, as the edges {a, b}, a < b, of a
+    spanning tree on the nodes 0..k: in a random order of the nodes, each
+    node after the first is joined to a random earlier one.  When
+    ``broken`` < k, that run is then replaced by two arbitrary ends.  Each
+    row gets a sign."""
+    return st.tuples(
+        st.permutations(range(k + 1)),
+        st.tuples(*(st.integers(0, i - 1) for i in range(1, k + 1))),
+        st.integers(0, 2 * k),
+        st.tuples(st.integers(0, k), st.integers(0, k)),
+        st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k),
+    )
+
+
 class TestBlockRecurrence:
     """The closed-form parity half of q_n(-B) against the matrix recurrence
-    and Horner's rule, the two-block rule on the recurrence's matrices, and
-    det_block against the closed form."""
+    and Horner's rule, the two-block rule on the recurrence's matrices, the
+    union-find route against elimination, and det_block against the closed
+    form."""
 
     def test_matches_horner_through_two_periods(self):
         """n runs over two full periods 2(m+1), so the folded step count is
@@ -116,36 +138,68 @@ class TestBlockRecurrence:
             minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
             for n in range(1, 4 * (m + 1)):
                 horner = matpoly_eval(path_charpoly(n), minus_b)
-                half = expand_block_band(block_bands(n, m), m)
-                assert half == parity_half(horner, n), (n, m)
+                half = expand_block_band(block_runs(n, m), m)
+                assert parity_half(horner, n) in _up_to_sign(half), (n, m)
                 assert det_block(n, m) == bareiss_det(IntMatrix(horner)), (n, m)
 
     def test_matches_the_recurrence_up_to_the_default_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
             matrices = recurrence_block_matrices(m)
             for n, expected in itertools.islice(enumerate(matrices), 1, 4 * (m + 1)):
-                half = expand_block_band(block_bands(n, m), m)
-                assert half == parity_half(expected, n), (n, m)
+                half = expand_block_band(block_runs(n, m), m)
+                assert parity_half(expected, n) in _up_to_sign(half), (n, m)
 
     def test_every_stored_entry_lies_in_its_half(self):
-        """Every stored entry of a half row is ``unit`` (-1 exactly when n
-        folds past m) and lies inside the half: no row starts left of its
-        first column or runs past its last one, and no entry lies farther
-        than max(1, ceil(s/2)) from the half's diagonal on either side,
-        since Q_s has bandwidth |s|."""
+        """Every run of a half row lies inside the half: no nonempty run
+        starts left of its first column or runs past its last one, and no
+        entry lies farther than max(1, ceil(s/2)) from the half's diagonal
+        on either side, since Q_s has bandwidth |s|."""
         for m in range(1, 13):
             for n in range(1, 4 * (m + 1)):
                 k = n % (2 * (m + 1))
-                unit = 1 if k <= m else -1
                 s = k if k <= m else 2 * m - k
-                rows = block_bands(n, m)
+                runs = list(block_runs(n, m))
                 width = max(1, (s + 1) // 2)
-                assert len(rows) == (m + n % 2) // 2, (n, m)  # i = 2 - n % 2, ... <= m
-                for r, (start, row) in enumerate(rows):
-                    assert 0 <= start and start + len(row) <= m // 2, (n, m, r)
-                    assert set(row) <= {unit}, (n, m, r)
-                    for c in range(start, start + len(row)):
+                assert len(runs) == (m + n % 2) // 2, (n, m)  # i = 2 - n % 2, ... <= m
+                for r, (start, end) in enumerate(runs):
+                    assert 0 <= start and max(start, end) <= m // 2, (n, m, r)
+                    for c in range(start, end):
                         assert abs(r - c) <= width, (n, m, r, c)
+
+    def test_union_find_matches_elimination_of_the_half(self):
+        """For every n in one period and every m up to the default ceiling,
+        det(H)**2 by union-find over the runs equals the square of the dense
+        elimination of the expanded half, for each even nm (the half is
+        square exactly then)."""
+        for m in range(1, DEFAULT_BLOCK_CEILING + 1):
+            for n in range(1, 2 * (m + 1) + 1):
+                if n * m % 2:
+                    continue
+                half = expand_block_band(block_runs(n, m), m)
+                expected = dense_bareiss_det(IntMatrix(half)) ** 2 if half else 1
+                assert _runs_det_squared(block_runs(n, m), m // 2) == expected, (n, m)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12).flatmap(_interval_case))
+    def test_union_find_on_random_interval_matrices(self, case):
+        """Square matrices whose rows are runs of one sign, against dense
+        elimination and, up to size 10, cofactor expansion.  Unbroken cases
+        are spanning trees, of determinant +-1; the broken run may be empty,
+        reversed or close a cycle.  Every unbroken case has a run that ends at
+        column k, the grounded node."""
+        order, picks, broken, ends, signs = case
+        k = len(picks)
+        runs = [tuple(sorted((order[i], order[j]))) for i, j in enumerate(picks, 1)]
+        if broken < k:
+            runs[broken] = ends
+        dense = [
+            [sign if a <= c < b else 0 for c in range(k)]
+            for (a, b), sign in zip(runs, signs)
+        ]
+        value = _runs_det_squared(iter(runs), k)
+        assert value == dense_bareiss_det(IntMatrix(dense)) ** 2
+        if k <= 10:
+            assert value == cofactor_det(IntMatrix(dense)) ** 2
 
     def test_even_half_is_the_odd_half_transposed_for_odd_n(self):
         """For odd n, q_n(-B) is [[0, X], [X^T, 0]] with the odd indices
@@ -181,21 +235,36 @@ class TestBlockRecurrence:
                 assert det(y) == sign * det(z), (n, m)
 
     def test_core_runs_once_for_even_nm_and_never_for_odd_nm(self, monkeypatch):
-        """Every n eliminates one half of m // 2 rows, and odd nm nothing."""
+        """Every n reads one half of m // 2 runs over m // 2 columns, and odd
+        nm nothing."""
         import boxdet.det_methods as dm
 
         calls = []
 
-        def spy(rows):
-            calls.append(len(rows))
-            return bareiss_band_det(rows)
+        def spy(runs, k):
+            runs = list(runs)
+            calls.append((len(runs), k))
+            return _runs_det_squared(runs, k)
 
-        monkeypatch.setattr(dm, "bareiss_band_det", spy)
+        monkeypatch.setattr(dm, "_runs_det_squared", spy)
         for m in range(1, 21):
             for n in range(1, 2 * (m + 1) + 1):
                 calls.clear()
                 assert det_block(n, m) == det_closed_form(n, m), (n, m)
-                assert calls == ([] if n * m % 2 else [m // 2]), (n, m)
+                assert calls == ([] if n * m % 2 else [(m // 2, m // 2)]), (n, m)
+
+    def test_never_reaches_the_elimination_core(self, monkeypatch):
+        import boxdet.det_methods as dm
+        import boxdet.exact_linalg as el
+
+        def fail(rows):
+            raise AssertionError("det_block called bareiss_band_det")
+
+        monkeypatch.setattr(dm, "bareiss_band_det", fail)
+        monkeypatch.setattr(el, "bareiss_band_det", fail)
+        for m in range(1, 21):
+            for n in range(1, 2 * (m + 1) + 1):
+                assert det_block(n, m) == det_closed_form(n, m), (n, m)
 
     def test_agrees_with_closed_form_through_two_periods_up_to_the_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
@@ -211,10 +280,22 @@ class TestBlockRecurrence:
         assert det_block(10**12, 40) == det_closed_form(10**12, 40) == 1
         assert time.perf_counter() - start < 1.0
 
+    def test_cost_is_linear_in_m(self):
+        """At (500, 1000) the folded step count is s = 500, so elimination of
+        the half would take about m s**2 / 8 = 3 * 10**7 steps; union-find
+        takes about m / 2."""
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            value = det_block(500, 1000, ceiling=10**4)
+            best = min(best, time.perf_counter() - start)
+        assert value == det_closed_form(500, 1000) == 1
+        assert best < 0.05
+
     def test_memory_follows_the_step_count_not_m_squared(self):
-        """Past the default ceiling, det_block(4, 3000) builds one half of
-        q_4(-A(P_3000)), 1500 rows with at most five stored entries each;
-        an m x m matrix would hold 9 million."""
+        """Past the default ceiling, det_block(4, 3000) reads the 1500 runs
+        of one half of q_4(-A(P_3000)) one at a time into a union-find
+        parent list of 1501 entries; an m x m matrix would hold 9 million."""
         tracemalloc.start()
         try:
             start = time.perf_counter()
