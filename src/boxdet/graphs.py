@@ -1,16 +1,14 @@
-"""Paths, box products, and the band rows of a bipartite graph's
-biadjacency matrix.
+"""Paths, box products, and the rows of a bipartite graph's biadjacency
+matrix.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when a band is emitted.
+only when the rows are emitted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NoReturn
-
-from .exact_linalg import BandRow
 
 
 @dataclass(frozen=True)
@@ -65,18 +63,18 @@ def box_product(g: Graph, h: Graph) -> Graph:
     return Graph(n * m, chain(within, across))
 
 
-def biadjacency_band(g: Graph) -> tuple[int, int, list[BandRow]]:
+def biadjacency_band(g: Graph) -> tuple[int, int, list[dict[int, int]]]:
     """2-colour a bipartite graph and return ``(k0, k1, rows)``: the sizes
-    of its two colour classes and the band rows of its biadjacency matrix C
-    for :func:`~boxdet.exact_linalg.bareiss_band_det`.
+    of its two colour classes and the rows of its biadjacency matrix C for
+    :func:`~boxdet.exact_linalg.bareiss_band_det`.
 
     In colour-class order the adjacency matrix is [[0, C], [C^T, 0]], with
     C of size k0 x k1.  Each component is coloured by breadth-first search
     from its smallest vertex, which gets colour 0, and each class is
-    numbered in vertex order.  Row r of C, for the r-th colour-0 vertex, is
-    ``(start, entries)`` from its first neighbour's class-1 position
-    through its last, so a vertex with no neighbour is ``(r, [])``.  Raises
-    ValueError if the graph has an odd cycle.
+    numbered in vertex order.  Row r of C, for the r-th colour-0 vertex,
+    maps the class-1 position of each of its neighbours to 1, so a vertex
+    with no neighbour is ``{}``.  Raises ValueError if the graph has an odd
+    cycle.
     """
     n = g.n_vertices
     neighbours: list[list[int]] = [[] for _ in range(n + 1)]
@@ -101,13 +99,9 @@ def biadjacency_band(g: Graph) -> tuple[int, int, list[BandRow]]:
     for v in range(1, n + 1):
         position[v] = sizes[colour[v]]
         sizes[colour[v]] += 1
-    rows: list[BandRow] = []
-    for v in range(1, n + 1):
-        if colour[v] == 0:
-            cols = [position[w] for w in neighbours[v]]
-            start = min(cols, default=position[v])
-            entries = [0] * (max(cols, default=start - 1) + 1 - start)
-            for c in cols:
-                entries[c - start] = 1
-            rows.append((start, entries))
+    rows = [
+        {position[w]: 1 for w in neighbours[v]}
+        for v in range(1, n + 1)
+        if colour[v] == 0
+    ]
     return sizes[0], sizes[1], rows

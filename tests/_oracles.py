@@ -22,17 +22,18 @@ The oracles share no code with the library paths they check:
   from expanding the runs into a dense H and eliminating it densely (the
   check on the block method's union-find over the runs' ends);
 * a graph's dense adjacency matrix is written from its edges, and a
-  bipartite graph's colour classes and biadjacency band are read from it
-  by repeated sweeps with no queue (the check on the breadth-first band
+  bipartite graph's colour classes and biadjacency rows are read from it
+  by repeated sweeps with no queue (the check on the breadth-first rows
   built from a graph's edges);
 * a polynomial's parity is read from its coefficient support;
 * eigenvalues come from the known path-spectrum cosine formula, and random
   matrices are drawn from a seeded generator.
 
-:func:`bareiss_det` is the one exception.  It is not an oracle: it slices
-the rows of an :class:`IntMatrix` into band rows for the production
-:func:`boxdet.exact_linalg.bareiss_band_det`, so that dense matrices can
-reach that core and :func:`cofactor_det` can certify it.
+:func:`bareiss_det` is the one exception.  It is not an oracle: it hands
+the rows of an :class:`IntMatrix` to the production
+:func:`boxdet.exact_linalg.bareiss_band_det` as ``{column: entry}`` maps,
+so that dense matrices can reach that core and :func:`cofactor_det` can
+certify it.
 """
 from __future__ import annotations
 
@@ -75,16 +76,9 @@ class IntMatrix:
 
 def bareiss_det(m: IntMatrix) -> int:
     """Exact determinant by :func:`boxdet.exact_linalg.bareiss_band_det`,
-    each row sliced from its first to its last nonzero entry (a zero row is
-    stored empty)."""
-    rows = []
-    for i, row in enumerate(m.rows):
-        nonzero = list(itertools.compress(range(m.size), row))
-        if nonzero:
-            rows.append((nonzero[0], list(row[nonzero[0] : nonzero[-1] + 1])))
-        else:
-            rows.append((i, []))
-    return bareiss_band_det(rows)
+    each row given as the map from every column, zeros included, to its
+    entry."""
+    return bareiss_band_det([dict(enumerate(row)) for row in m.rows])
 
 
 def cofactor_det(m: IntMatrix) -> int:
@@ -393,17 +387,17 @@ def dense_bareiss_det(m: IntMatrix) -> int:
 
 def dense_biadjacency_band(
     a: IntMatrix,
-) -> tuple[int, int, list[tuple[int, list[int]]]]:
-    """The colour-class sizes and biadjacency band rows of the bipartite
-    graph with adjacency matrix ``a``, as
-    :func:`boxdet.graphs.biadjacency_band` defines them.
+) -> tuple[int, int, list[dict[int, int]]]:
+    """The colour-class sizes and biadjacency rows of the bipartite graph
+    with adjacency matrix ``a``, as :func:`boxdet.graphs.biadjacency_band`
+    defines them.
 
     The smallest uncoloured vertex gets colour 0, and colours spread along
     nonzero entries, sweeping over the whole matrix until a sweep changes
     nothing; then the next component starts.  Classes are numbered in
-    vertex order, and row r, for the r-th colour-0 vertex, runs from its
-    first nonzero entry through its last, ``(r, [])`` if it has none.
-    ValueError if a nonzero entry joins two vertices of one colour.
+    vertex order, and row r, for the r-th colour-0 vertex, maps the class-1
+    position of each of its nonzero entries to that entry, ``{}`` if it has
+    none.  ValueError if a nonzero entry joins two vertices of one colour.
     """
     n = a.size
     colour: list[int | None] = [None] * n
@@ -424,11 +418,7 @@ def dense_biadjacency_band(
             if x and colour[u] == colour[v]:
                 raise ValueError(f"vertices {u} and {v} are adjacent and alike")
     zeros, ones = ([v for v in range(n) if colour[v] == c] for c in (0, 1))
-    rows = []
-    for r, u in enumerate(zeros):
-        row = [a.rows[u][v] for v in ones]
-        cols = [j for j, x in enumerate(row) if x]
-        rows.append((cols[0], row[cols[0] : cols[-1] + 1]) if cols else (r, []))
+    rows = [{j: a.rows[u][v] for j, v in enumerate(ones) if a.rows[u][v]} for u in zeros]
     return len(zeros), len(ones), rows
 
 

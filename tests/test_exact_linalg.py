@@ -1,5 +1,5 @@
 """Exact matrix layer: Bareiss vs cofactor and vs dense elimination, the
-band core on band rows, the Horner oracle, Sylvester."""
+band core on ``{column: entry}`` rows, the Horner oracle, Sylvester."""
 from __future__ import annotations
 
 import random
@@ -59,23 +59,18 @@ def banded_matrices(draw):
 
 @st.composite
 def band_inputs(draw):
-    """A matrix from banded_matrices() with its rows for the core, each
-    stored from 0-2 columns left of its first nonzero entry (not left of
-    column 0) to 0-2 columns past its last one, and a zero row as 0-2
-    zeros from any column.  So zero rows are often stored empty, rows whose
-    entries stop left of the diagonal are stored shorter than the band,
-    rows often start right of their diagonal or start with zeros, and a
-    swap often trades rows of different lengths."""
+    """A matrix from banded_matrices() with its rows for the core: each
+    row maps its nonzero entries' columns to them, plus 0-2 of its zero
+    columns, drawn anywhere in the row, to an explicit 0.  So zero rows are
+    stored empty or as zeros only, an explicit zero often lies left of the
+    row's first nonzero entry or far below the diagonal, and a swap often
+    trades rows of different lengths."""
     m = draw(banded_matrices())
     rows = []
     for row in m.rows:
-        nonzero = [j for j, x in enumerate(row) if x]
-        if nonzero:
-            start = max(0, nonzero[0] - draw(st.integers(0, 2)))
-            end = nonzero[-1] + 1
-        else:
-            start = end = draw(st.integers(0, m.size - 1))
-        rows.append((start, list(row[start : end + draw(st.integers(0, 2))])))
+        zeros = [j for j, x in enumerate(row) if not x]
+        explicit = draw(st.sets(st.sampled_from(zeros), max_size=2)) if zeros else set()
+        rows.append({j: x for j, x in enumerate(row) if x or j in explicit})
     return m, rows
 
 
@@ -165,44 +160,44 @@ class TestDeterminants:
     @settings(max_examples=300, deadline=None)
     @given(band_inputs())
     # one empty row: the whole matrix is zero
-    @example((IntMatrix([[0]]), [(0, [])]))
-    # rows 1 and 2 end left of the diagonal: a permutation matrix
+    @example((IntMatrix([[0]]), [{}]))
+    # rows 1 and 2 lie left of the diagonal: a permutation matrix
     @example(
         (
             IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-            [(0, [0, 0, 1]), (0, [1]), (1, [1])],
+            [{0: 0, 1: 0, 2: 1}, {0: 1}, {1: 1}],
         )
     )
-    # the zero pivot of a long row swaps with a row of length 1
+    # the zero pivot of a long row swaps with a row of one entry
     @example(
         (
             IntMatrix([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
-            [(0, [0, 1, 0, 5]), (0, [1]), (1, [1, 1]), (2, [1, 1])],
+            [{0: 0, 1: 1, 2: 0, 3: 5}, {0: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}],
         )
     )
-    # the last row ends left of the diagonal, so its final entry is 0
-    @example((IntMatrix([[1, 0], [1, 0]]), [(0, [1]), (0, [1])]))
-    # a row whose last stored entry is the one in the pivot column
-    @example((IntMatrix([[1, 1], [1, 0]]), [(0, [1, 1]), (0, [1])]))
-    # leading zeros on the last row widen the band to the whole matrix
+    # the last row has no entry on the diagonal, so its final entry is 0
+    @example((IntMatrix([[1, 0], [1, 0]]), [{0: 1}, {0: 1}]))
+    # a row whose only entry is the one in the pivot column
+    @example((IntMatrix([[1, 1], [1, 0]]), [{0: 1, 1: 1}, {0: 1}]))
+    # explicit zeros left of the last row's diagonal do not widen the band
     @example(
         (
             IntMatrix([[1, 2, 0], [0, 1, 3], [0, 0, 1]]),
-            [(0, [1, 2]), (1, [1, 3]), (0, [0, 0, 1])],
+            [{0: 1, 1: 2}, {1: 1, 2: 3}, {0: 0, 1: 0, 2: 1}],
         )
     )
-    # rows 0 and 1 start right of their diagonal, so both are padded at entry
+    # rows 0 and 1 start right of their diagonal, and row 2 must swap up
     @example(
         (
             IntMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]]),
-            [(1, [2, 1]), (2, [3]), (0, [5])],
+            [{1: 2, 2: 1}, {2: 3}, {0: 5}],
         )
     )
-    # an empty row starting at column 0 far below the diagonal
+    # a zero row stored as an explicit zero far left of the diagonal
     @example(
         (
             IntMatrix([[1, 1, 0], [1, 2, 1], [0, 0, 0]]),
-            [(0, [1, 1]), (0, [1, 2, 1]), (0, [])],
+            [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, {0: 0}],
         )
     )
     def test_band_core_agrees_with_dense_elimination(self, case):
@@ -211,24 +206,36 @@ class TestDeterminants:
 
     @settings(max_examples=200, deadline=None)
     @given(band_inputs(), st.data())
-    def test_moving_starts_left_keeps_the_determinant(self, case, data):
-        """Prepending zeros to rows, each moved left by 0..start columns,
-        changes how far the band reaches but not the matrix."""
+    def test_explicit_zero_entries_do_not_change_the_determinant(self, case, data):
+        """Adding an explicit 0 at any of a row's zero columns, so that a
+        row may seem to reach far left of its diagonal, changes neither the
+        matrix nor its determinant."""
         m, rows = case
-        moved = []
-        for start, entries in rows:
-            shift = data.draw(st.integers(0, start))
-            moved.append((start - shift, [0] * shift + entries))
-        assert bareiss_band_det(moved) == bareiss_band_det(rows) == dense_bareiss_det(m)
+        padded = []
+        for row, dense in zip(rows, m.rows):
+            zeros = [j for j, x in enumerate(dense) if not x]
+            explicit = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
+            padded.append({**dict.fromkeys(explicit, 0), **row})
+        assert bareiss_band_det(padded) == bareiss_band_det(rows) == dense_bareiss_det(m)
 
     def test_empty_matrix_has_determinant_one(self):
         assert bareiss_band_det([]) == 1
 
-    def test_negative_start_is_rejected(self):
-        with pytest.raises(ValueError, match="-1"):
-            bareiss_band_det([(0, [1, 0]), (-1, [0, 0, 1])])
-        with pytest.raises(ValueError, match="-2"):
-            bareiss_band_det([(-2, [])])
+    def test_entry_outside_the_columns_is_rejected(self):
+        with pytest.raises(ValueError, match="row 0 .* outside columns 0..0"):
+            bareiss_band_det([{0: 1, 1: 5}])
+        with pytest.raises(ValueError, match="row 1 .* outside columns 0..1"):
+            bareiss_band_det([{0: 1, 1: 0}, {-1: 2, 1: 1}])
+        # a zero entry is no entry, wherever it lies
+        assert bareiss_band_det([{-1: 0, 0: 3, 1: 0}]) == 3
+
+    def test_rows_are_not_changed(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 2}]
+        assert bareiss_band_det(rows) == 1
+        assert rows == [{0: 1, 1: 1}, {0: 1, 1: 2}]
+        rows = [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
+        assert bareiss_band_det(rows) == -16
+        assert rows == [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
 
 
 class TestMatpolyEval:

@@ -173,7 +173,7 @@ class TestBiadjacencyBand:
             assert biadjacency_band(g) == dense_biadjacency_band(adjacency_matrix(g)), g
 
     def test_single_vertex_is_one_empty_row(self):
-        assert biadjacency_band(path(1)) == (1, 0, [(0, [])])
+        assert biadjacency_band(path(1)) == (1, 0, [{}])
 
     def test_odd_cycle_is_rejected(self):
         triangle = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
