@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 
+from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
 from .graphs import biadjacency_band, box_product, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
@@ -61,27 +61,36 @@ def _require_positive(**params: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class DetReport:
+class DetReport(FrozenRecord):
     """Results of every determinant method that ran for one (n, m) pair.
 
     ``direct``, ``block`` and ``resultant`` are None when skipped (size
     ceiling); the closed form always runs.  ``agree``, derived from the
     values, holds exactly when all computed values coincide.  Elapsed times
-    are wall-clock seconds.
+    are wall-clock seconds, and ``elapsed=None`` stores a new empty dict.
     """
 
-    n: int
-    m: int
-    direct: int | None
-    block: int | None
-    resultant: int | None
-    closed_form: int
-    elapsed: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("n", "m", "direct", "block", "resultant", "closed_form", "elapsed")
 
-    def __post_init__(self) -> None:
-        if self.closed_form not in (-1, 0, 1):
-            raise ValueError(f"closed form value out of range: {self.closed_form}")
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        direct: int | None,
+        block: int | None,
+        resultant: int | None,
+        closed_form: int,
+        elapsed: dict[str, float] | None = None,
+    ) -> None:
+        if closed_form not in (-1, 0, 1):
+            raise ValueError(f"closed form value out of range: {closed_form}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "resultant", resultant)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "elapsed", {} if elapsed is None else elapsed)
 
     @property
     def agree(self) -> bool:
@@ -105,19 +114,21 @@ class DetReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(FrozenRecord):
     """Outcome of one identity check.  ``witness`` is the nonzero residue
     (a polynomial or an integer) when the check failed and None when it
     passed; ``passed`` is derived from it."""
 
-    identity: str
-    params: dict[str, int]
-    witness: IntPoly | int | None = None
+    __slots__ = ("identity", "params", "witness")
 
-    def __post_init__(self) -> None:
-        if self.identity not in IDENTITY_NAMES:
-            raise ValueError(f"unknown identity name: {self.identity}")
+    def __init__(
+        self, identity: str, params: dict[str, int], witness: IntPoly | int | None = None
+    ) -> None:
+        if identity not in IDENTITY_NAMES:
+            raise ValueError(f"unknown identity name: {identity}")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:

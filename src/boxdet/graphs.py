@@ -6,36 +6,38 @@ only when the rows are emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import chain
-from typing import NoReturn
+
+from ._record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """Undirected simple graph: a vertex count and a set of unordered edges.
 
     Any iterable of pairs is stored as a frozenset of (u, v) pairs with
     u < v; loops and out-of-range endpoints are rejected at construction.
     """
 
-    n_vertices: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ("n_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        n = self.n_vertices
+    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        n = n_vertices
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         # Validate and normalise in one pass; unpacking rejects any edge
         # that is not a pair.
         edges = frozenset(
             (u, v) if 0 < u < v <= n else (v, u) if 0 < v < u <= n else _reject(u, v, n)
-            for u, v in self.edges
+            for u, v in edges
         )
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", edges)
 
 
-def _reject(u: int, v: int, n: int) -> NoReturn:
+def _reject(u: int, v: int, n: int):
+    """Raise the ValueError for an edge that :class:`Graph` refuses; it
+    never returns."""
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     raise ValueError(f"edge ({u}, {v}) is outside 1..{n}")

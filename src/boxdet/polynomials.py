@@ -22,25 +22,25 @@ remainder sequence, checking every division it makes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
+
+from ._record import FrozenRecord
 
 NEG_INFINITY = float("-inf")
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(FrozenRecord):
     """Dense integer polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     Always normalized: the highest stored coefficient is nonzero, and the
     zero polynomial stores no coefficients at all.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        coeffs = tuple(coeffs)
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
@@ -211,7 +211,13 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return r
 
 
-def _exact_div(values: Iterable[int], divisor: int) -> list[int]:
+def _exact_div(values: list[int], divisor: int) -> list[int]:
+    # On path polynomials every divisor of the remainder sequence is +1 or
+    # -1, and division by a unit needs no divmod and no check.
+    if divisor == 1:
+        return values
+    if divisor == -1:
+        return [-v for v in values]
     out = []
     for v in values:
         q, rem = divmod(v, divisor)

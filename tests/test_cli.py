@@ -283,6 +283,7 @@ class TestIdentities:
         code, _, err = run_cli(capsys, "identities", "--max-k", "1")
         assert code == 1
         assert f"identity failure: splitting k=1 witness={witness!r}\n" in err
+        assert "witness=IntPoly(coeffs=(0, 2, 0, -1))\n" in err
 
     def test_max_k_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from boxdet.polynomials import (
     ONE,
     ZERO,
     IntPoly,
+    _exact_div,
     _prem,
     path_charpoly,
     poly_to_json,
@@ -317,6 +318,19 @@ class TestResultant:
                 f, g = path_charpoly(n), path_charpoly(m)
                 expected = resultant(g, f) * (-1) ** (n * m)
                 assert resultant(f, g) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 101, 200, 299, 300])
+    def test_consecutive_path_polynomials(self, n):
+        """A sequence n steps deep in which every divisor is +1 or -1."""
+        assert resultant(path_charpoly(n), path_charpoly(n + 1)) == (-1) ** (n * (n + 1) // 2)
+
+    def test_exact_division_by_units_and_others(self):
+        assert _exact_div([6, -4, 0], 1) == [6, -4, 0]
+        assert _exact_div([6, -4, 0], -1) == [-6, 4, 0]
+        assert _exact_div([6, -4, 0], 2) == [3, -2, 0]
+        assert _exact_div([6, -4, 0], -2) == [-3, 2, 0]
+        with pytest.raises(ArithmeticError, match=r"^inexact division 6 / 4 "):
+            _exact_div([6, -4], 4)
 
     def test_multiplicative_in_the_first_argument(self):
         f1, f2, g = X - 1, X**2 + X + 3, path_charpoly(4)
