@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
 
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
@@ -379,8 +380,15 @@ def check_power(k: int, a: int, b: int) -> IdentityReport:
     return _residue_report(
         "power",
         {"k": k, "a": a, "b": b},
-        path_charpoly(a * (k + 1) + b) - path_charpoly(k + 1) ** a * path_charpoly(b),
+        path_charpoly(a * (k + 1) + b) - _path_power(k + 1, a) * path_charpoly(b),
     )
+
+
+@lru_cache(maxsize=4)
+def _path_power(k: int, a: int) -> IntPoly:
+    """q_k**a, which check_power needs once per offset b; identity_suite
+    runs b innermost, so the few most recent powers are all it keeps."""
+    return path_charpoly(k) ** a
 
 
 def check_product_n_plus_1(n: int) -> IdentityReport:

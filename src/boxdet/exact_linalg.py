@@ -30,8 +30,10 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
     times the previous pivot, so it waits unscaled and is multiplied once
     when it enters.  A row with no entry in the pivot column is only scaled
     by pivot / prev: by the quotient when prev divides pivot, as when every
-    pivot is -1 or 1, and not at all when that quotient is 1.  A matrix of
-    size N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
+    pivot is -1 or 1, and not at all when that quotient is 1.  Any other
+    row is divided by prev entry by entry, each division checked, unless
+    prev is a unit: then the row is negated, or left as it is.  A matrix
+    of size N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
     """
     n = len(rows)
     if not n:
@@ -70,7 +72,9 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
             if factor:
                 for col, y in tail.items():
                     nums[col] = nums.get(col, 0) - factor * y
-            if prev != 1:
+            if prev == -1:  # division by a unit is exact
+                nums = {col: -num for col, num in nums.items()}
+            elif prev != 1:
                 for col, num in nums.items():
                     q, r = divmod(num, prev)
                     if r:

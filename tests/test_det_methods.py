@@ -16,12 +16,15 @@ from _oracles import (
     adjacency_matrix,
     bareiss_det,
     cofactor_det,
+    convolve,
     dense_bareiss_det,
+    dense_prem,
     expand_block_band,
     grid_eigenvalue_product,
     matpoly_eval,
     parity_half,
     recurrence_block_matrices,
+    repeated_power,
     scale_rows,
     sylvester_matrix,
 )
@@ -31,6 +34,7 @@ from boxdet.det_methods import (
     DetReport,
     IdentityReport,
     SizeLimitError,
+    _path_power,
     _runs_det_squared,
     block_runs,
     check_annihilation,
@@ -705,3 +709,62 @@ class TestIdentitySuite:
         assert [r.identity for r in reports] == sorted(
             (r.identity for r in reports), key=IDENTITY_NAMES.index
         )
+
+    def test_matches_a_reference_built_check_by_check(self):
+        """identity_suite(12) against each check rebuilt here, in suite
+        order: q_{k+1}**a is taken anew for every power check, by repeated
+        plain convolution, and every residue comes from the dense
+        pseudo-division oracle, unscaled by lc(q_k)**steps."""
+        q = path_charpoly
+
+        def witness(a: IntPoly, k: int) -> IntPoly | None:
+            b = q(k)
+            if a.degree < b.degree:
+                rem = list(a.coeffs)
+            else:
+                scale = b.leading_coefficient ** (len(a.coeffs) - k)
+                rem = [c * scale for c in dense_prem(list(a.coeffs), list(b.coeffs))]
+            return IntPoly(tuple(rem)) if rem else None
+
+        ks = range(1, 13)
+        expected = [
+            *(("splitting", {"k": k}, None) for k in ks),
+            *(
+                ("shift", {"k": k, "s": s}, witness(q(k + s) + q(k - s), k))
+                for k in ks
+                for s in range(k + 1)
+            ),
+            *(
+                ("annihilation", {"k": k, "t": t}, witness(q(t * (k + 1) - 1), k))
+                for k in ks
+                for t in range(1, 6)
+            ),
+            *(
+                (
+                    "power",
+                    {"k": k, "a": a, "b": b},
+                    witness(
+                        q(a * (k + 1) + b) - convolve(repeated_power(q(k + 1), a), q(b)), k
+                    ),
+                )
+                for k in ks
+                for a in range(1, 5)
+                for b in range(k + 1)
+            ),
+            *(("product_n_plus_1", {"n": n}, None) for n in ks),
+            *(("symmetry", {"n": n, "m": m}, None) for n in ks for m in ks),
+        ]
+        reports = identity_suite(12)
+        assert [(r.identity, r.params, r.witness) for r in reports] == expected
+        assert all(r.passed for r in reports)
+
+    def test_power_cache_is_bounded_and_builds_each_power_once(self):
+        """check_power takes q_{k+1}**a from a small cache; the suite asks
+        for each (k, a) in one run of offsets b, so it builds each power
+        once and keeps only the last few."""
+        _path_power.cache_clear()
+        identity_suite(20)
+        info = _path_power.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        assert info.currsize <= info.maxsize
+        assert info.misses == 20 * 4

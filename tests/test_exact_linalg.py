@@ -218,6 +218,36 @@ class TestDeterminants:
             padded.append({**dict.fromkeys(explicit, 0), **row})
         assert bareiss_band_det(padded) == bareiss_band_det(rows) == dense_bareiss_det(m)
 
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            # pivots -1, -3, -8, 20: step 1 divides row 2 by -1
+            [[-1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 2], [0, 0, 2, -1]],
+            # every pivot is -1, so every step after the first divides by -1
+            [
+                [-1, 1, 0, 0, 0],
+                [1, 0, 1, 0, 0],
+                [0, 1, 2, 1, 0],
+                [0, 0, 1, 2, 1],
+                [0, 0, 0, 1, 2],
+            ],
+            # lower bandwidth 2: rows enter the window scaled by prev = -1
+            [[-1, 2, 1, 0], [1, -3, 0, 1], [2, 1, 1, 1], [0, 3, 1, -2]],
+        ],
+    )
+    def test_unit_pivot_minus_one_agrees_with_dense_elimination(self, dense):
+        """Without swaps, the pivot after step k is the leading principal
+        minor of order k + 1, so a minor of -1 puts prev = -1 under every
+        later row of the window, whose division is then a negation."""
+        size = len(dense)
+        minors = [
+            dense_bareiss_det(IntMatrix([row[:k] for row in dense[:k]]))
+            for k in range(1, size + 1)
+        ]
+        assert 0 not in minors and -1 in minors[:-1]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        assert bareiss_band_det(rows) == dense_bareiss_det(IntMatrix(dense)) == minors[-1]
+
     def test_empty_matrix_has_determinant_one(self):
         assert bareiss_band_det([]) == 1
 

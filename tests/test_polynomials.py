@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -94,7 +95,19 @@ class TestIntPolyBasics:
     @given(small_polys, small_polys, st.integers(-20, 20))
     def test_evaluation_is_a_ring_homomorphism(self, p, q, v):
         assert evaluate(p + q, v) == evaluate(p, v) + evaluate(q, v)
+        assert evaluate(p - q, v) == evaluate(p, v) - evaluate(q, v)
         assert evaluate(p * q, v) == evaluate(p, v) * evaluate(q, v)
+
+    @given(small_polys, small_polys)
+    @example(X**2 + 1, X**2 - 1)  # the top coefficients cancel
+    @example(X, X**3 + X)  # the subtrahend is the longer
+    def test_difference_matches_coefficientwise(self, p, q):
+        size = max(len(p.coeffs), len(q.coeffs))
+        a = list(p.coeffs) + [0] * (size - len(p.coeffs))
+        b = list(q.coeffs) + [0] * (size - len(q.coeffs))
+        assert p - q == IntPoly(tuple(x - y for x, y in zip(a, b)))
+        assert (p - q).coeffs[-1:] != (0,)
+        assert p - 3 == p + IntPoly((-3,))
 
     @given(small_polys, small_polys)
     def test_degree_of_product(self, p, q):
@@ -235,8 +248,6 @@ class TestPseudoRem:
     def test_difference_is_divisible_by_the_divisor(self):
         """Spot-check a - r against an independent long division: the
         difference must divide exactly by b with zero residue."""
-        import random
-
         rng = random.Random(1234)
         for divisor_size in range(1, 11):
             b = path_charpoly(divisor_size)
@@ -294,6 +305,26 @@ class TestWindowedPrem:
         b = b_low + [b_lead]
         a = a_low + [0] * (len(b) - len(a_low)) + [0] * zero_top
         assert _prem(a, b) == dense_prem(a, b)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_path_divisors_and_their_halves(self, k):
+        """The divisors the library divides by: q_k, whose every other
+        coefficient is zero, and its half F_k (q_k = x**(k % 2) F_k(x**2)),
+        which is dense, each also negated, so that both signs of the
+        leading coefficient come up for every k.  The dividends take one to
+        four steps, both parities of the count, and up to two zero top
+        coefficients; one is a multiple of the divisor."""
+        rng = random.Random(k)
+        q = list(path_charpoly(k).coeffs)
+        half = q[k % 2 :: 2]
+        for b in (q, [-c for c in q], half, [-c for c in half]):
+            multiple = list((IntPoly(b) * path_charpoly(3)).coeffs)
+            assert _prem(multiple, b) == dense_prem(multiple, b) == []
+            for extra in range(4):
+                for zero_top in range(3):
+                    a = [rng.randint(-99, 99) for _ in range(len(b) + extra)]
+                    a += [0] * zero_top
+                    assert _prem(a, b) == dense_prem(a, b)
 
 
 class TestResultant:
