@@ -15,12 +15,12 @@ holds the most recently used values.  Under this determinant convention the
 leading coefficient of the n-vertex path polynomial is ``(-1)**n``, not +1;
 that fact is asserted on every value rather than assumed.
 
-Division is exact too: :func:`pseudo_rem` divides by a polynomial with a
-unit leading coefficient, and :func:`resultant` runs the subresultant
-remainder sequence, checking every division it makes.  Both rest on
-``_prem``, which negates a divisor led by -1 once, so that every path
-polynomial divides as a monic one: each step then walks only the divisor's
-nonzero terms, about half of a path polynomial's, and scales nothing.
+Division is exact too, and only by divisors led by +1 or -1, as every
+path polynomial is: :func:`pseudo_rem` returns such a remainder, and
+:func:`resultant` runs Euclid's algorithm over them, raising ValueError on
+a remainder led by anything else.  Both rest on ``_rem``, which negates a
+divisor led by -1 once and then walks only its nonzero terms, about half of
+a path polynomial's.
 """
 from __future__ import annotations
 
@@ -172,122 +172,63 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     lb = b.leading_coefficient
     if lb not in (1, -1):
         raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lb}")
-    if a.degree < b.degree:
-        return a
-    rem = _prem(a.coeffs, b.coeffs)
-    # _prem scaled a by lb**steps, and for a unit lb that is its own inverse.
-    if lb ** (len(a.coeffs) - len(b.coeffs) + 1) == -1:
-        rem = [-c for c in rem]
-    return IntPoly(tuple(rem))
+    return IntPoly(tuple(_rem(a.coeffs, b.coeffs)))
 
 
-def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
+def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a mod b for ascending coefficient lists, b led by +1 or -1.
 
-    Coefficient lists, ascending, b nonzero and len(a) >= len(b); zero top
-    coefficients of a count as steps.  A divisor led by -1 is negated once,
-    so that it is monic: the remainder by -b is the remainder by b, and
-    lc(b)**steps is -1 exactly when the step count is odd.  By a monic
-    divisor nothing is scaled, and each step subtracts only b's nonzero
-    terms below its leading one; the top coefficient that term would cancel
-    is dropped at the end, with every column at or above deg b.  Otherwise
-    each step scales by lc(b) only the window under the divisor; a
-    coefficient below it takes the scalings it missed in one multiplication
-    when it enters.  A step whose top coefficient is already zero scales
-    nothing, and the remainder takes those scalings at the end.
+    A divisor led by -1 is negated once, since the remainder by -b is the
+    remainder by b.  Each step then subtracts only b's nonzero terms below
+    its leading one; the top coefficient that term would cancel is dropped
+    at the end, with every column at or above deg b.
     """
-    db = len(b) - 1
-    flip = b[-1] == -1 and (len(a) - db) % 2
     if b[-1] == -1:
         b = [-d for d in b]
-    lb = b[-1]
+    db = len(b) - 1
     terms = [(j, d) for j, d in enumerate(b[:-1]) if d]
     r = list(a)
-    lift = 1  # lb ** (steps that scaled the window so far)
-    skipped = 0
     for top in range(len(r) - 1, db - 1, -1):
-        low = top - db
-        if lift != 1:
-            r[low] *= lift
         lead = r[top]
-        if not lead:
-            skipped += 1
-        elif lb == 1:
+        if lead:
+            low = top - db
             for j, d in terms:
                 r[low + j] -= lead * d
-        else:
-            for i, d in enumerate(b, low):
-                r[i] = lb * r[i] - lead * d
-            lift *= lb
     del r[db:]
     while r and r[-1] == 0:
         r.pop()
-    if skipped and lb != 1:
-        factor = lb**skipped
-        r = [c * factor for c in r]
-    return [-c for c in r] if flip else r
-
-
-def _exact_div(values: list[int], divisor: int) -> list[int]:
-    # On path polynomials every divisor of the remainder sequence is +1 or
-    # -1, and division by a unit needs no divmod and no check.
-    if divisor == 1:
-        return values
-    if divisor == -1:
-        return [-v for v in values]
-    out = []
-    for v in values:
-        q, rem = divmod(v, divisor)
-        if rem:
-            raise ArithmeticError(
-                f"inexact division {v} / {divisor} in the remainder sequence"
-            )
-        out.append(q)
-    return out
+    return r
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of two nonzero integer polynomials.
+    """Resultant of two nonzero integer polynomials, by Euclid's algorithm.
 
-    Res(f, g) = lc(f)**deg(g) * product of g over the roots of f, computed
-    exactly over the integers by the subresultant polynomial remainder
-    sequence (no root is ever evaluated).  Zero exactly when f and g share
-    a root.
+    Res(f, g) = lc(f)**deg(g) * product of g over the roots of f.  Each step
+    takes r = a mod b and uses
+    Res(a, b) = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r),
+    so no root is ever evaluated.  Every divisor must be led by +1 or -1, as
+    on path polynomials; any other lead raises ValueError.  Zero exactly
+    when f and g share a root.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant requires nonzero polynomials")
-    a, b = f, g
+    a, b = f.coeffs, g.coeffs
     sign = 1
-    if a.degree < b.degree:
-        if a.degree % 2 and b.degree % 2:
-            sign = -sign
-        a, b = b, a
-    if b.degree == 0:
-        return sign * b.coeffs[0] ** int(a.degree)
-
-    acoeffs, bcoeffs = a.coeffs, b.coeffs
-    g_ = 1
-    h = 1
-    while True:
-        da = len(acoeffs) - 1
-        db = len(bcoeffs) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        rem = _prem(acoeffs, bcoeffs)
-        if not rem:
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        lb = b[-1]
+        if lb not in (1, -1):
+            raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lb}")
+        r = _rem(a, b)
+        if not r:
             return 0  # common factor
-        acoeffs = bcoeffs
-        bcoeffs = _exact_div(rem, g_ * h**delta)
-        g_ = acoeffs[-1]
-        if delta:
-            h = _exact_div([g_**delta], h ** (delta - 1))[0]
-        if len(bcoeffs) - 1 == 0:
-            break
-
-    da = len(acoeffs) - 1
-    tail = _exact_div([bcoeffs[-1] ** da], h ** (da - 1))[0]
-    return sign * tail
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        if lb == -1 and (len(a) - len(r)) % 2:
+            sign = -sign
+        a, b = b, r
+    return sign * b[0] ** (len(a) - 1)
 
 
 def poly_to_json(p: IntPoly) -> str:

@@ -8,8 +8,8 @@ The oracles share no code with the library paths they check:
 * products and powers come from the plain double-loop convolution (the
   check on the zero-skipping product and on square-and-multiply);
 * pseudo-remainders come from dense schoolbook pseudo-division that
-  rescales the whole dividend at every step (the check on the windowed
-  routine);
+  rescales the whole dividend at every step (the check on the monic
+  remainder routine);
 * polynomials are evaluated at a matrix by Horner's rule with plain
   list-of-rows sums and products, and q_k(-A(P_m)) also comes from the
   unfolded matrix recurrence Q_k = B Q_{k-1} - Q_{k-2} (both the check on
@@ -128,6 +128,14 @@ def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
     for i in range(n):
         rows.append((0,) * i + gdesc + (0,) * (n - 1 - i))
     return IntMatrix(rows)
+
+
+def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
+    """Res(f, g) as the determinant of the Sylvester matrix, for any
+    nonzero f and g; two constants have the empty matrix, of determinant 1."""
+    if f.degree + g.degree == 0:
+        return 1
+    return bareiss_det(sylvester_matrix(f, g))
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:

@@ -68,8 +68,8 @@ def test_criterion_7_oracle_independence(capsys):
         if cofactor_det(a) != bareiss_det(a):
             failures.append(("box adjacency", n, m))
 
-    # (b) cofactor vs the subresultant algorithm, through Sylvester
-    # determinants, wherever the expansion guard allows.
+    # (b) cofactor vs Euclid's algorithm over unit-led remainders, through
+    # Sylvester determinants, wherever the expansion guard allows.
     for n in range(1, 10):
         for m in range(1, 10):
             if n + m > 10:

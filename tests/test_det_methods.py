@@ -27,6 +27,7 @@ from _oracles import (
     repeated_power,
     scale_rows,
     sylvester_matrix,
+    sylvester_resultant,
 )
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
@@ -36,6 +37,7 @@ from boxdet.det_methods import (
     SizeLimitError,
     _path_power,
     _runs_det_squared,
+    _square_half,
     block_runs,
     check_annihilation,
     check_power,
@@ -374,9 +376,10 @@ def _squared(p: IntPoly) -> IntPoly:
 
 
 def _checked_resultant(f: IntPoly, g: IntPoly) -> int:
-    """resultant(f, g), checked against cofactor expansion of the Sylvester
-    matrix wherever that matrix has size 1 to 10."""
-    value = resultant(f, g)
+    """Res(f, g) from the Sylvester oracle, which takes any nonzero f and g,
+    checked against cofactor expansion of the Sylvester matrix wherever
+    that matrix has size 1 to 10."""
+    value = sylvester_resultant(f, g)
     if 1 <= f.degree + g.degree <= 10:
         assert value == cofactor_det(sylvester_matrix(f, g)), (f, g)
     return value
@@ -395,6 +398,14 @@ class TestResultantHalves:
             for m in range(1, 61):
                 full = (-1) ** (n * m) * resultant(path_charpoly(n), path_charpoly(m))
                 assert det_resultant(n, m) == full, (n, m)
+
+    def test_library_resultant_on_every_half_pair_up_to_24(self):
+        """The inputs det_resultant hands to resultant, against the Sylvester
+        oracle: every remainder of these sequences is led by +1 or -1."""
+        halves = {k: _square_half(k) for k in range(1, 25)}
+        for n, f in halves.items():
+            for m, g in halves.items():
+                assert resultant(f, g) == sylvester_resultant(f, g), (n, m)
 
     def test_one_half_degree_sequence_for_even_nm_and_none_for_odd_nm(
         self, monkeypatch
@@ -439,8 +450,8 @@ class TestResultantCost:
     def test_long_path_memory_and_time(self):
         """q_3000 is built from its own coefficients, with no q_0..q_2999
         kept.  For n = 2 the remainder sequence divides F_3000, of degree
-        1500, by the linear F_2, and pseudo-division works only under the
-        divisor; F_1 is constant, so n = 1 runs no pseudo-division."""
+        1500, by the linear F_2, and each division step works only on the
+        divisor's nonzero terms; F_1 is constant, so n = 1 divides nothing."""
         for n in (1, 2):
             path_charpoly.cache_clear()
             tracemalloc.start()

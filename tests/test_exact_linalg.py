@@ -317,9 +317,16 @@ class TestSylvester:
                 assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
 
     def test_determinant_equals_resultant_generic(self):
+        """A non-monic f whose remainders stay led by +1 or -1 goes through;
+        one whose remainder is led by 19 is rejected, though its Sylvester
+        determinant exists."""
         f = 2 * X**3 - X + 4
-        g = X**2 + 3 * X - 1
+        g = X**2 + X + 1  # f mod g = -x + 6
         assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
+        g = X**2 + 3 * X - 1  # f mod g = 19x - 2
+        assert bareiss_det(sylvester_matrix(f, g)) == -243
+        with pytest.raises(ValueError, match=r"got 19$"):
+            resultant(f, g)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=1, max_size=4),
@@ -330,9 +337,15 @@ class TestSylvester:
         st.integers(2, 6),
     )
     def test_resultant_of_inputs_with_content(self, f_low, f_lead, g_low, g_lead, c, d):
-        """The remainder sequence needs no primitive inputs: contents c and
-        d above 1 reach the resultant as c**deg(g) * d**deg(f)."""
-        f = c * IntPoly((*f_low, f_lead))
-        g = d * IntPoly((*g_low, g_lead))
-        assert resultant(f, g) == cofactor_det(sylvester_matrix(f, g))
+        """Contents c and d above 1 reach the Sylvester determinant as
+        c**deg(g) * d**deg(f).  The library's first divisor then has a lead
+        divisible by c or d, so it raises rather than return a value."""
+        f0, g0 = IntPoly((*f_low, f_lead)), IntPoly((*g_low, g_lead))
+        f, g = c * f0, d * g0
+        content = c ** int(g.degree) * d ** int(f.degree)
+        assert cofactor_det(sylvester_matrix(f, g)) == (
+            content * cofactor_det(sylvester_matrix(f0, g0))
+        )
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            resultant(f, g)
 

@@ -19,14 +19,14 @@ from _oracles import (
     recurrence_charpoly,
     recurrence_charpolys,
     repeated_power,
+    sylvester_resultant,
 )
 from boxdet.polynomials import (
     NEG_INFINITY,
     ONE,
     ZERO,
     IntPoly,
-    _exact_div,
-    _prem,
+    _rem,
     path_charpoly,
     poly_to_json,
     pseudo_rem,
@@ -285,26 +285,37 @@ class TestPseudoRem:
 
 
 coefficients = st.integers(-30, 30)
+# Nonzero, of degree at most 4, with leads of every size up to 3.
+generic_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(
+    lambda cs: IntPoly(tuple(cs))
+).filter(lambda p: not p.is_zero)
+
+
+def dense_rem(a: list[int], b: list[int]) -> list[int]:
+    """a mod b for a unit lc(b): the dense pseudo-remainder, scaled by
+    lc(b)**steps again, which undoes the scaling."""
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    return [c * scale for c in dense_prem(a, b)]
 
 
 class TestWindowedPrem:
     @given(
         st.lists(coefficients, max_size=6),
-        st.one_of(st.sampled_from([1, -1]), coefficients.filter(bool)),
+        st.sampled_from([1, -1]),
         st.lists(coefficients, max_size=8),
         st.integers(0, 3),
     )
     @example([], 1, [], 0)  # deg b == 0, deg a == deg b
-    @example([], -3, [5, 0, 7], 2)  # deg b == 0, zero top coefficients
-    @example([1, 2], 3, [], 0)  # deg a == deg b, non-unit lc(b)
-    @example([0, 1], -2, [4, 0, 0, 9], 1)  # skipped steps between real ones
-    @example([1, 0, 1], 2, [0], 4)  # a is zero but for its length
+    @example([], -1, [5, 0, 7], 2)  # deg b == 0, zero top coefficients
+    @example([1, 2], -1, [], 0)  # deg a == deg b, lc(b) = -1
+    @example([0, 1], -1, [4, 0, 0, 9], 1)  # skipped steps between real ones
+    @example([1, 0, 1], 1, [0], 4)  # a is zero but for its length
     def test_agrees_with_dense_pseudo_division(self, b_low, b_lead, a_low, zero_top):
         """a is padded to at least deg b + 1 coefficients and then gets
         zero_top zero coefficients on top, which still count as steps."""
         b = b_low + [b_lead]
         a = a_low + [0] * (len(b) - len(a_low)) + [0] * zero_top
-        assert _prem(a, b) == dense_prem(a, b)
+        assert _rem(a, b) == dense_rem(a, b)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_path_divisors_and_their_halves(self, k):
@@ -319,12 +330,12 @@ class TestWindowedPrem:
         half = q[k % 2 :: 2]
         for b in (q, [-c for c in q], half, [-c for c in half]):
             multiple = list((IntPoly(b) * path_charpoly(3)).coeffs)
-            assert _prem(multiple, b) == dense_prem(multiple, b) == []
+            assert _rem(multiple, b) == dense_prem(multiple, b) == []
             for extra in range(4):
                 for zero_top in range(3):
                     a = [rng.randint(-99, 99) for _ in range(len(b) + extra)]
                     a += [0] * zero_top
-                    assert _prem(a, b) == dense_prem(a, b)
+                    assert _rem(a, b) == dense_rem(a, b)
 
 
 class TestResultant:
@@ -355,23 +366,35 @@ class TestResultant:
         """A sequence n steps deep in which every divisor is +1 or -1."""
         assert resultant(path_charpoly(n), path_charpoly(n + 1)) == (-1) ** (n * (n + 1) // 2)
 
-    def test_exact_division_by_units_and_others(self):
-        assert _exact_div([6, -4, 0], 1) == [6, -4, 0]
-        assert _exact_div([6, -4, 0], -1) == [-6, 4, 0]
-        assert _exact_div([6, -4, 0], 2) == [3, -2, 0]
-        assert _exact_div([6, -4, 0], -2) == [-3, 2, 0]
-        with pytest.raises(ArithmeticError, match=r"^inexact division 6 / 4 "):
-            _exact_div([6, -4], 4)
-
     def test_multiplicative_in_the_first_argument(self):
-        f1, f2, g = X - 1, X**2 + X + 3, path_charpoly(4)
-        assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
+        # Every remainder of the three sequences is led by +1 or -1.
+        f1, f2, g = X - 1, X**2 + X + 3, X**2 + 1
+        assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g) == 10
 
     def test_root_product_meaning_on_factored_input(self):
-        # f = (x-1)(x-2), g evaluated at 1 and 2, lc(f)^deg(g) = 1
+        # f = (x-1)(x-2), g evaluated at 1 and 2, lc(f)^deg(g) = 1; the one
+        # remainder, f - g = -x - 3, is led by -1.
         f = (X - 1) * (X - 2)
-        g = X**2 + 1
-        assert resultant(f, g) == evaluate(g, 1) * evaluate(g, 2)
+        g = X**2 - 2 * X + 5
+        assert resultant(f, g) == evaluate(g, 1) * evaluate(g, 2) == 20
+
+    def test_remainder_led_by_a_non_unit_is_rejected(self):
+        # (x-1)(x-2) mod x^2 + 1 is -3x + 1.
+        with pytest.raises(ValueError, match=r"got -3$"):
+            resultant((X - 1) * (X - 2), X**2 + 1)
+
+    @given(generic_polys, generic_polys)
+    @example(X**3 + 2 * X - 3, X**2 + 1)  # unit-led throughout
+    @example((X - 1) * (X - 2), X**2 + 1)  # rejected at its first remainder
+    @example(IntPoly((3,)), IntPoly((-2,)))  # two constants
+    def test_equals_the_sylvester_determinant_or_raises(self, f, g):
+        """resultant never returns a wrong value: on a divisor led by
+        anything but +1 or -1 it raises instead."""
+        try:
+            value = resultant(f, g)
+        except ValueError:
+            return
+        assert value == sylvester_resultant(f, g)
 
 
 def from_json(text: str) -> IntPoly:
