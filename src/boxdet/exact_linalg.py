@@ -1,9 +1,9 @@
 """Exact determinants of sparse integer matrices.
 
 :func:`bareiss_band_det` is fraction-free elimination on rows given as
-``{column: entry}`` maps: the engine under ``direct``.  Every exact division
-inside it is checked; a nonzero remainder means a logic bug and raises
-immediately instead of corrupting the result.
+``{column: entry}`` maps, with every pivot made positive: the engine under
+``direct``.  Every exact division inside it is checked; a nonzero remainder
+means a logic bug and raises immediately instead of corrupting the result.
 """
 from __future__ import annotations
 
@@ -28,12 +28,11 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
     that window, and drops column k from every row in it.  A row below the
     window has never been eliminated, and its Bareiss value is its input
     times the previous pivot, so it waits unscaled and is multiplied once
-    when it enters.  A row with no entry in the pivot column is only scaled
-    by pivot / prev: by the quotient when prev divides pivot, as when every
-    pivot is -1 or 1, and not at all when that quotient is 1.  Any other
-    row is divided by prev entry by entry, each division checked, unless
-    prev is a unit: then the row is negated, or left as it is.  A matrix
-    of size N with both bandwidths b costs O(N b^2) steps and O(N b) memory.
+    when it enters.  A negative pivot's row is negated, flipping the sign,
+    so every pivot is positive.  A row with no entry in the pivot column is
+    left as it is if the pivot equals prev; any other is updated in place.
+    A matrix of size N with both bandwidths b costs O(N b^2) steps and
+    O(N b) memory.
     """
     n = len(rows)
     if not n:
@@ -60,28 +59,26 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
                 return 0
         tail = a[k]
         pivot = tail.pop(k)
-        ratio, rem = divmod(pivot, prev)
+        if pivot < 0:  # Bareiss on the input with row k negated
+            pivot, sign, tail = -pivot, -sign, {col: -y for col, y in tail.items()}
         for i in range(k + 1, last + 1):
             row = a[i]
             factor = row.pop(k, 0)
-            if not factor and not rem:  # prev divides pivot, so no entry needs dividing
-                if ratio != 1:
-                    a[i] = {col: x * ratio for col, x in row.items()}
+            if not factor and pivot == prev:
                 continue
-            nums = {col: x * pivot for col, x in row.items()}
+            if pivot != 1:
+                for col in row:
+                    row[col] *= pivot
             if factor:
                 for col, y in tail.items():
-                    nums[col] = nums.get(col, 0) - factor * y
-            if prev == -1:  # division by a unit is exact
-                nums = {col: -num for col, num in nums.items()}
-            elif prev != 1:
-                for col, num in nums.items():
+                    row[col] = row.get(col, 0) - factor * y
+            if prev != 1:
+                for col, num in row.items():
                     q, r = divmod(num, prev)
                     if r:
                         raise ArithmeticError(
                             f"inexact division at step {k}: {num} by {prev}"
                         )
-                    nums[col] = q
-            a[i] = nums
+                    row[col] = q
         prev = pivot
     return sign * a[n - 1].get(n - 1, 0)

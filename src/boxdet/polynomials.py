@@ -18,9 +18,9 @@ that fact is asserted on every value rather than assumed.
 Division is exact too, and only by divisors led by +1 or -1, as every
 path polynomial is: :func:`pseudo_rem` returns such a remainder, and
 :func:`resultant` runs Euclid's algorithm over them, raising ValueError on
-a remainder led by anything else.  Both rest on ``_rem``, which negates a
-divisor led by -1 once and then walks only its nonzero terms, about half of
-a path polynomial's.
+a remainder led by anything else.  Both rest on ``_rem``, which rejects
+such a divisor, negates one led by -1 once and then walks only its nonzero
+terms, about half of a path polynomial's.
 """
 from __future__ import annotations
 
@@ -169,20 +169,20 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    lb = b.leading_coefficient
-    if lb not in (1, -1):
-        raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lb}")
     return IntPoly(tuple(_rem(a.coeffs, b.coeffs)))
 
 
 def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a mod b for ascending coefficient lists, b led by +1 or -1.
+    """a mod b for ascending coefficient lists, b led by +1 or -1; any
+    other lead raises ValueError.
 
     A divisor led by -1 is negated once, since the remainder by -b is the
     remainder by b.  Each step then subtracts only b's nonzero terms below
     its leading one; the top coefficient that term would cancel is dropped
     at the end, with every column at or above deg b.
     """
+    if b[-1] not in (1, -1):
+        raise ValueError(f"divisor leading coefficient must be +1 or -1, got {b[-1]}")
     if b[-1] == -1:
         b = [-d for d in b]
     db = len(b) - 1
@@ -217,15 +217,12 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     if len(a) < len(b):
         a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
     while len(b) > 1:
-        lb = b[-1]
-        if lb not in (1, -1):
-            raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lb}")
         r = _rem(a, b)
         if not r:
             return 0  # common factor
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        if lb == -1 and (len(a) - len(r)) % 2:
+        if b[-1] == -1 and (len(a) - len(r)) % 2:
             sign = -sign
         a, b = b, r
     return sign * b[0] ** (len(a) - 1)

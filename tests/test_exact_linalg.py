@@ -24,6 +24,8 @@ from _oracles import (
     scale_rows,
     sylvester_matrix,
 )
+import boxdet.exact_linalg as el
+from boxdet.det_methods import det_direct
 from boxdet.exact_linalg import bareiss_band_det
 from boxdet.graphs import box_product, path
 from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, resultant
@@ -144,6 +146,10 @@ class TestDeterminants:
             max_size=n,
         )
     ))
+    # a pivot of -2 with lower bandwidth 2: row 3 enters the window under prev = 2
+    @example([[-2, 1, 0, 0], [1, 2, 1, 0], [1, 1, 2, 1], [0, 1, 1, 2]])
+    # row 1 has no entry in column 0 while the pivot, 3 after negation, is not prev
+    @example([[-3, 1, 0], [0, 2, 1], [1, 0, 2]])
     def test_bareiss_agrees_with_cofactor(self, rows):
         m = IntMatrix(rows)
         assert bareiss_det(m) == cofactor_det(m)
@@ -177,6 +183,25 @@ class TestDeterminants:
     )
     # the last row has no entry on the diagonal, so its final entry is 0
     @example((IntMatrix([[1, 0], [1, 0]]), [{0: 1}, {0: 1}]))
+    # a pivot of -2 with lower bandwidth 2: row 3 enters the window under prev = 2
+    @example(
+        (
+            IntMatrix([[-2, 1, 0, 0], [1, 2, 1, 0], [1, 1, 2, 1], [0, 1, 1, 2]]),
+            [
+                {0: -2, 1: 1},
+                {0: 1, 1: 2, 2: 1},
+                {0: 1, 1: 1, 2: 2, 3: 1},
+                {1: 1, 2: 1, 3: 2},
+            ],
+        )
+    )
+    # row 1 has no entry in column 0 while the pivot, 3 after negation, is not prev
+    @example(
+        (
+            IntMatrix([[-3, 1, 0], [0, 2, 1], [1, 0, 2]]),
+            [{0: -3, 1: 1}, {1: 2, 2: 1}, {0: 1, 2: 2}],
+        )
+    )
     # a row whose only entry is the one in the pivot column
     @example((IntMatrix([[1, 1], [1, 0]]), [{0: 1, 1: 1}, {0: 1}]))
     # explicit zeros left of the last row's diagonal do not widen the band
@@ -221,9 +246,9 @@ class TestDeterminants:
     @pytest.mark.parametrize(
         "dense",
         [
-            # pivots -1, -3, -8, 20: step 1 divides row 2 by -1
+            # leading minors -1, -3, -8, 20: row 0 is negated, then pivots 3 and 8
             [[-1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 2], [0, 0, 2, -1]],
-            # every pivot is -1, so every step after the first divides by -1
+            # every leading minor is -1: row 0 is negated, then every pivot is 1
             [
                 [-1, 1, 0, 0, 0],
                 [1, 0, 1, 0, 0],
@@ -231,14 +256,14 @@ class TestDeterminants:
                 [0, 0, 1, 2, 1],
                 [0, 0, 0, 1, 2],
             ],
-            # lower bandwidth 2: rows enter the window scaled by prev = -1
+            # lower bandwidth 2: rows enter the window under prev = 1, row 0 negated
             [[-1, 2, 1, 0], [1, -3, 0, 1], [2, 1, 1, 1], [0, 3, 1, -2]],
         ],
     )
     def test_unit_pivot_minus_one_agrees_with_dense_elimination(self, dense):
         """Without swaps, the pivot after step k is the leading principal
-        minor of order k + 1, so a minor of -1 puts prev = -1 under every
-        later row of the window, whose division is then a negation."""
+        minor of order k + 1 up to sign: a negative pivot has its row
+        negated, so a minor of -1 leaves prev = 1 under every later row."""
         size = len(dense)
         minors = [
             dense_bareiss_det(IntMatrix([row[:k] for row in dense[:k]]))
@@ -247,6 +272,21 @@ class TestDeterminants:
         assert 0 not in minors and -1 in minors[:-1]
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
         assert bareiss_band_det(rows) == dense_bareiss_det(IntMatrix(dense)) == minors[-1]
+
+    def test_direct_never_divides(self, monkeypatch):
+        """On these grid bands every pivot is +1 or -1, and is made 1 by
+        negating its row, so no row is scaled or divided and divmod is
+        never called."""
+
+        def fail(*args):
+            raise AssertionError(f"divmod{args} called")
+
+        monkeypatch.setattr(el, "divmod", fail, raising=False)
+        for n in range(1, 17):
+            for m in range(1, 17):
+                det_direct(n, m)
+        for n, m in [(100, 20), (200, 10), (5, 2000)]:
+            det_direct(n, m, ceiling=n * m)
 
     def test_empty_matrix_has_determinant_one(self):
         assert bareiss_band_det([]) == 1
