@@ -6,8 +6,9 @@ The routes, for the grid graph P_n box P_m:
 * direct: 2-colour the grid from its edges; the determinant is 0 when the
   colour classes differ in size, and (-1)**k det(C)**2 when both have k
   vertices, with C the biadjacency matrix.  C's band, of width about
-  min(n, m)/2, is built from the edges and Bareiss-eliminated inside, about
-  (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix is built.
+  min(n, m)/2, is built from the edges and eliminated inside over unit
+  pivots, about (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix is
+  built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
@@ -155,7 +156,8 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     The grid is bipartite, so in colour-class order its adjacency matrix is
     [[0, C], [C^T, 0]]: singular when the classes differ in size (odd nm),
     and of determinant (-1)**k det(C)**2 when both have k vertices, with
-    det(C) by Bareiss elimination (:func:`_bipartite_det`).  The longer
+    det(C) by elimination over pivots of +1 and -1, which raises
+    ValueError on any other (:func:`_bipartite_det`).  The longer
     path is the outer factor, so vertex (i, j) of the grid gets label
     (i-1)*min(n, m) + j and C, its classes numbered in label order, has
     bandwidth about min(n, m)/2.

@@ -16,8 +16,10 @@ The oracles share no code with the library paths they check:
   the block method's closed-form parity half, which is expanded back to a
   dense half here);
 * determinants come from dense Bareiss elimination over every row and
-  column (the check on the banded production routine) and from first-row
-  cofactor expansion, and resultants from the Sylvester matrix;
+  column (the check on the banded production routine, which must return
+  its value when every pivot it meets is +1 or -1 and raise otherwise) and
+  from first-row cofactor expansion, and resultants from the Sylvester
+  matrix;
 * det(H)**2 of an interval matrix H, whose rows are runs of ones, comes
   from expanding the runs into a dense H and eliminating it densely (the
   check on the block method's union-find over the runs' ends);
@@ -28,12 +30,6 @@ The oracles share no code with the library paths they check:
 * a polynomial's parity is read from its coefficient support;
 * eigenvalues come from the known path-spectrum cosine formula, and random
   matrices are drawn from a seeded generator.
-
-:func:`bareiss_det` is the one exception.  It is not an oracle: it hands
-the rows of an :class:`IntMatrix` to the production
-:func:`boxdet.exact_linalg.bareiss_band_det` as ``{column: entry}`` maps,
-so that dense matrices can reach that core and :func:`cofactor_det` can
-certify it.
 """
 from __future__ import annotations
 
@@ -45,7 +41,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, sub
 
-from boxdet.exact_linalg import bareiss_band_det
 from boxdet.graphs import Graph
 from boxdet.polynomials import ONE, ZERO, IntPoly
 
@@ -72,13 +67,6 @@ class IntMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-
-def bareiss_det(m: IntMatrix) -> int:
-    """Exact determinant by :func:`boxdet.exact_linalg.bareiss_band_det`,
-    each row given as the map from every column, zeros included, to its
-    entry."""
-    return bareiss_band_det([dict(enumerate(row)) for row in m.rows])
 
 
 def cofactor_det(m: IntMatrix) -> int:
@@ -135,7 +123,7 @@ def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
     nonzero f and g; two constants have the empty matrix, of determinant 1."""
     if f.degree + g.degree == 0:
         return 1
-    return bareiss_det(sylvester_matrix(f, g))
+    return dense_bareiss_det(sylvester_matrix(f, g))
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
@@ -350,10 +338,19 @@ def dense_bareiss_det(m: IntMatrix) -> int:
     determinant is zero.  Row swaps are mandatory here, not an edge case:
     adjacency matrices have zero diagonals.
     """
+    return dense_bareiss(m)[0]
+
+
+def dense_bareiss(m: IntMatrix) -> tuple[int, list[int]]:
+    """:func:`dense_bareiss_det` and the pivots it divides by, in step
+    order, up to the step whose column is zero.  Pivot k is a leading minor
+    of the swapped matrix, so all are +1 or -1 exactly when elimination
+    with unit pivots and the same swaps goes through."""
     n = m.size
     a = [list(row) for row in m.rows]
     sign = 1
     prev = 1
+    pivots = []
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -362,9 +359,10 @@ def dense_bareiss_det(m: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, pivots
         pivot_row = a[k]
         pivot = pivot_row[k]
+        pivots.append(pivot)
         for i in range(k + 1, n):
             row = a[i]
             factor = row[k]
@@ -390,7 +388,7 @@ def dense_bareiss_det(m: IntMatrix) -> int:
                 for j in range(k + 1, n):
                     row[j] *= pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1], pivots
 
 
 def dense_biadjacency_band(

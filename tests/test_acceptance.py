@@ -14,8 +14,8 @@ import time
 from _oracles import (
     Parity,
     adjacency_matrix,
-    bareiss_det,
     cofactor_det,
+    dense_bareiss_det,
     parity,
     random_matrix,
     sylvester_matrix,
@@ -58,14 +58,14 @@ def test_criterion_7_oracle_independence(capsys):
     rng = random.Random(20260815)
     for trial in range(200):
         m = random_matrix(rng, 1 + trial % 7)
-        if cofactor_det(m) != bareiss_det(m):
+        if cofactor_det(m) != dense_bareiss_det(m):
             failures.append(("random", trial, m))
     small_pairs = [
         (n, m) for n in range(1, 11) for m in range(1, 11) if n * m <= 10
     ]
     for n, m in small_pairs:
         a = adjacency_matrix(box_product(path(n), path(m)))
-        if cofactor_det(a) != bareiss_det(a):
+        if cofactor_det(a) != dense_bareiss_det(a):
             failures.append(("box adjacency", n, m))
 
     # (b) cofactor vs Euclid's algorithm over unit-led remainders, through
@@ -82,7 +82,7 @@ def test_criterion_7_oracle_independence(capsys):
     # elimination on the assembled matrix (cofactor-certified in (a)).
     for n in range(1, 7):
         for m in range(1, 7):
-            direct = bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
+            direct = dense_bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
             if det_resultant(n, m) != direct:
                 failures.append(("sign bridge", n, m))
 

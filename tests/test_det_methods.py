@@ -14,7 +14,6 @@ from _oracles import (
     X,
     IntMatrix,
     adjacency_matrix,
-    bareiss_det,
     cofactor_det,
     convolve,
     dense_bareiss_det,
@@ -146,7 +145,7 @@ class TestBlockRecurrence:
                 horner = matpoly_eval(path_charpoly(n), minus_b)
                 half = expand_block_band(block_runs(n, m), m)
                 assert parity_half(horner, n) in _up_to_sign(half), (n, m)
-                assert det_block(n, m) == bareiss_det(IntMatrix(horner)), (n, m)
+                assert det_block(n, m) == dense_bareiss_det(IntMatrix(horner)), (n, m)
 
     def test_matches_the_recurrence_up_to_the_default_ceiling(self):
         for m in range(1, DEFAULT_BLOCK_CEILING + 1):
@@ -350,7 +349,8 @@ class TestDirectBand:
     def test_agrees_with_the_whole_adjacency_matrix_up_to_12(self):
         for n in range(1, 13):
             for m in range(1, 13):
-                whole = bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
+                grid = box_product(path(n), path(m))
+                whole = dense_bareiss_det(adjacency_matrix(grid))
                 assert det_direct(n, m) == whole, (n, m)
 
     def test_core_runs_once_on_half_the_grid_and_only_for_even_nm(self, monkeypatch):
@@ -502,12 +502,13 @@ class TestAgreement:
                 assembled = adjacency_matrix(box_product(path(n), path(m)))
                 minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
                 reduced = IntMatrix(matpoly_eval(path_charpoly(n), minus_b))
-                assert bareiss_det(reduced) == bareiss_det(assembled), (n, m)
+                assert dense_bareiss_det(reduced) == dense_bareiss_det(assembled), (n, m)
 
     def test_resultant_bridge_against_direct_assembly(self):
         for n in range(1, 7):
             for m in range(1, 7):
-                direct = bareiss_det(adjacency_matrix(box_product(path(n), path(m))))
+                grid = box_product(path(n), path(m))
+                direct = dense_bareiss_det(adjacency_matrix(grid))
                 assert det_resultant(n, m) == direct, (n, m)
 
     def test_numeric_eigenvalue_product_cross_check(self):

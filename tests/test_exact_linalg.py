@@ -1,7 +1,8 @@
-"""Exact matrix layer: Bareiss vs cofactor and vs dense elimination, the
-band core on ``{column: entry}`` rows, the Horner oracle, Sylvester."""
+"""Exact matrix layer: the band core on ``{column: entry}`` rows against
+dense Bareiss and cofactor expansion, the Horner oracle, Sylvester."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from _oracles import (
     IntMatrix,
     add_rows,
     adjacency_matrix,
-    bareiss_det,
     cofactor_det,
+    dense_bareiss,
     dense_bareiss_det,
     identity_rows,
     matpoly_eval,
@@ -24,11 +25,33 @@ from _oracles import (
     scale_rows,
     sylvester_matrix,
 )
-import boxdet.exact_linalg as el
-from boxdet.det_methods import det_direct
+from boxdet.det_methods import DEFAULT_DIRECT_CEILING, det_closed_form, det_direct
 from boxdet.exact_linalg import bareiss_band_det
 from boxdet.graphs import box_product, path
 from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, resultant
+
+
+def dense_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """The rows of m for the core, each mapping every column, zeros
+    included, to its entry."""
+    return [dict(enumerate(row)) for row in m.rows]
+
+
+def assert_core_matches_dense(m: IntMatrix, *row_sets: list[dict[int, int]]) -> None:
+    """The core on each of ``row_sets``, which all describe m, returns
+    dense elimination's value when every pivot that elimination meets is +1
+    or -1, and otherwise raises ValueError naming the first other pivot, up
+    to sign, and its step."""
+    det, pivots = dense_bareiss(m)
+    bad = [(k, p) for k, p in enumerate(pivots) if p not in (1, -1)]
+    for rows in row_sets:
+        if not bad:
+            assert bareiss_band_det(rows) == det
+            continue
+        k, p = bad[0]
+        message = rf"^pivot must be \+1 or -1, got -?{abs(p)} at step {k}$"
+        with pytest.raises(ValueError, match=message):
+            bareiss_band_det(rows)
 
 
 @st.composite
@@ -60,14 +83,41 @@ def banded_matrices(draw):
 
 
 @st.composite
+def unit_pivot_band_matrices(draw):
+    """L U for a unit lower triangular L of lower bandwidth 0..n-1 and an
+    upper triangular U of upper bandwidth 0..n-1 with +1 or -1 on its
+    diagonal, entries off it in -3..3.  Every leading minor of L U is the
+    product of U's leading diagonal entries, so elimination meets no zero
+    pivot and every pivot is +1 or -1.  In a third of them one diagonal
+    entry of U is 0 instead, so at that step the column is zero."""
+    size = draw(st.integers(1, 16))
+    low = draw(st.integers(0, size - 1))
+    up = draw(st.integers(0, size - 1))
+    entry = st.integers(-3, 3)
+    lower = [[int(i == j) for j in range(size)] for i in range(size)]
+    upper = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(max(0, i - low), i):
+            lower[i][j] = draw(entry)
+        upper[i][i] = draw(st.sampled_from((1, -1)))
+        for j in range(i + 1, min(size, i + up + 1)):
+            upper[i][j] = draw(entry)
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, size - 1))
+        upper[i][i] = 0
+    return IntMatrix(mul_rows(lower, upper))
+
+
+@st.composite
 def band_inputs(draw):
-    """A matrix from banded_matrices() with its rows for the core: each
-    row maps its nonzero entries' columns to them, plus 0-2 of its zero
+    """A matrix from banded_matrices(), or from unit_pivot_band_matrices()
+    so that the core often returns, with its rows for the core: each row
+    maps its nonzero entries' columns to them, plus 0-2 of its zero
     columns, drawn anywhere in the row, to an explicit 0.  So zero rows are
     stored empty or as zeros only, an explicit zero often lies left of the
     row's first nonzero entry or far below the diagonal, and a swap often
     trades rows of different lengths."""
-    m = draw(banded_matrices())
+    m = draw(st.one_of(banded_matrices(), unit_pivot_band_matrices()))
     rows = []
     for row in m.rows:
         zeros = [j for j, x in enumerate(row) if not x]
@@ -94,13 +144,17 @@ class TestIntMatrix:
 
 class TestDeterminants:
     def test_frozen_examples(self):
-        assert bareiss_det(IntMatrix(identity_rows(5))) == 1
-        assert bareiss_det(IntMatrix([[0, 1], [1, 0]])) == -1
-        assert bareiss_det(IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
+        assert bareiss_band_det(dense_rows(IntMatrix(identity_rows(5)))) == 1
+        assert bareiss_band_det(dense_rows(IntMatrix([[0, 1], [1, 0]]))) == -1
+        # step 0 leaves 5 - 2 * 4 = -3 as the next pivot
+        generic = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        assert dense_bareiss_det(generic) == cofactor_det(generic) == -3
+        with pytest.raises(ValueError, match=r"got -3 at step 1$"):
+            bareiss_band_det(dense_rows(generic))
         four_cycle = IntMatrix(
             [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
         )
-        assert bareiss_det(four_cycle) == 0
+        assert bareiss_band_det(dense_rows(four_cycle)) == 0
         assert cofactor_det(four_cycle) == 0
         assert cofactor_det(IntMatrix([[-1]])) == -1
         two_by_three_grid = adjacency_matrix(box_product(path(2), path(3)))
@@ -108,15 +162,21 @@ class TestDeterminants:
 
     def test_zero_pivot_needs_row_swap(self):
         m = IntMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
-        assert bareiss_det(m) == cofactor_det(m) == 30
-        assert bareiss_det(IntMatrix([[0] * 3] * 3)) == 0
+        assert dense_bareiss_det(m) == cofactor_det(m) == 30
+        with pytest.raises(ValueError, match=r"got 5 at step 0$"):
+            bareiss_band_det(dense_rows(m))
+        # a swap at both steps, every pivot 1
+        m = IntMatrix([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
+        assert bareiss_band_det(dense_rows(m)) == cofactor_det(m) == 1
+        assert bareiss_band_det(dense_rows(IntMatrix([[0] * 3] * 3))) == 0
 
     def test_cofactor_validates_bareiss_on_random_matrices(self):
         rng = random.Random(20260815)
         for trial in range(200):
             size = 1 + trial % 7
             m = random_matrix(rng, size)
-            assert cofactor_det(m) == bareiss_det(m)
+            assert cofactor_det(m) == dense_bareiss_det(m)
+            assert_core_matches_dense(m, dense_rows(m))
 
     def test_determinant_is_multiplicative(self):
         rng = random.Random(99)
@@ -125,14 +185,14 @@ class TestDeterminants:
             a = random_matrix(rng, size, -4, 4)
             b = random_matrix(rng, size, -4, 4)
             product = IntMatrix(mul_rows(a.rows, b.rows))
-            assert bareiss_det(product) == bareiss_det(a) * bareiss_det(b)
+            assert dense_bareiss_det(product) == dense_bareiss_det(a) * dense_bareiss_det(b)
 
     def test_scalar_scaling_law(self):
         rng = random.Random(3)
         for size in (1, 2, 3, 4):
             m = random_matrix(rng, size)
             tripled = IntMatrix(scale_rows(3, m.rows))
-            assert bareiss_det(tripled) == 3**size * bareiss_det(m)
+            assert dense_bareiss_det(tripled) == 3**size * dense_bareiss_det(m)
 
     def test_cofactor_size_guard(self):
         big = IntMatrix(identity_rows(COFACTOR_SIZE_LIMIT + 1))
@@ -146,22 +206,23 @@ class TestDeterminants:
             max_size=n,
         )
     ))
-    # a pivot of -2 with lower bandwidth 2: row 3 enters the window under prev = 2
+    # a pivot of -2 with lower bandwidth 2
     @example([[-2, 1, 0, 0], [1, 2, 1, 0], [1, 1, 2, 1], [0, 1, 1, 2]])
-    # row 1 has no entry in column 0 while the pivot, 3 after negation, is not prev
+    # a pivot of -3 over a row with no entry in column 0
     @example([[-3, 1, 0], [0, 2, 1], [1, 0, 2]])
     def test_bareiss_agrees_with_cofactor(self, rows):
         m = IntMatrix(rows)
-        assert bareiss_det(m) == cofactor_det(m)
+        assert dense_bareiss_det(m) == cofactor_det(m)
+        assert_core_matches_dense(m, dense_rows(m))
 
     @settings(max_examples=300, deadline=None)
     @given(banded_matrices())
-    # pivots of 2, so a row entering the window must be scaled by the last
+    # pivots of 2
     @example(IntMatrix([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]))
     # a zero pivot sends down a row reaching further right than its partner
     @example(IntMatrix([[0, 1, 0, 5], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
     def test_banded_agrees_with_dense_elimination(self, m):
-        assert bareiss_det(m) == dense_bareiss_det(m)
+        assert_core_matches_dense(m, dense_rows(m))
 
     @settings(max_examples=300, deadline=None)
     @given(band_inputs())
@@ -183,7 +244,7 @@ class TestDeterminants:
     )
     # the last row has no entry on the diagonal, so its final entry is 0
     @example((IntMatrix([[1, 0], [1, 0]]), [{0: 1}, {0: 1}]))
-    # a pivot of -2 with lower bandwidth 2: row 3 enters the window under prev = 2
+    # a pivot of -2 with lower bandwidth 2
     @example(
         (
             IntMatrix([[-2, 1, 0, 0], [1, 2, 1, 0], [1, 1, 2, 1], [0, 1, 1, 2]]),
@@ -195,7 +256,7 @@ class TestDeterminants:
             ],
         )
     )
-    # row 1 has no entry in column 0 while the pivot, 3 after negation, is not prev
+    # a pivot of -3 over a row with no entry in column 0
     @example(
         (
             IntMatrix([[-3, 1, 0], [0, 2, 1], [1, 0, 2]]),
@@ -225,28 +286,35 @@ class TestDeterminants:
             [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, {0: 0}],
         )
     )
+    # row 1 less row 0 cancels to 0 on the diagonal, so step 1 swaps
+    @example(
+        (
+            IntMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+            [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}],
+        )
+    )
     def test_band_core_agrees_with_dense_elimination(self, case):
         m, rows = case
-        assert bareiss_band_det(rows) == dense_bareiss_det(m)
+        assert_core_matches_dense(m, rows)
 
     @settings(max_examples=200, deadline=None)
     @given(band_inputs(), st.data())
     def test_explicit_zero_entries_do_not_change_the_determinant(self, case, data):
         """Adding an explicit 0 at any of a row's zero columns, so that a
         row may seem to reach far left of its diagonal, changes neither the
-        matrix nor its determinant."""
+        matrix nor its determinant, nor whether the core raises."""
         m, rows = case
         padded = []
         for row, dense in zip(rows, m.rows):
             zeros = [j for j, x in enumerate(dense) if not x]
             explicit = data.draw(st.sets(st.sampled_from(zeros))) if zeros else set()
             padded.append({**dict.fromkeys(explicit, 0), **row})
-        assert bareiss_band_det(padded) == bareiss_band_det(rows) == dense_bareiss_det(m)
+        assert_core_matches_dense(m, padded, rows)
 
     @pytest.mark.parametrize(
         "dense",
         [
-            # leading minors -1, -3, -8, 20: row 0 is negated, then pivots 3 and 8
+            # leading minors -1, -3, -8, 20: row 0 is negated, then pivot 3 raises
             [[-1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 2], [0, 0, 2, -1]],
             # every leading minor is -1: row 0 is negated, then every pivot is 1
             [
@@ -256,14 +324,15 @@ class TestDeterminants:
                 [0, 0, 1, 2, 1],
                 [0, 0, 0, 1, 2],
             ],
-            # lower bandwidth 2: rows enter the window under prev = 1, row 0 negated
+            # lower bandwidth 2, minors -1, 1, 8, -16: pivots -1, -1, then 8 raises
             [[-1, 2, 1, 0], [1, -3, 0, 1], [2, 1, 1, 1], [0, 3, 1, -2]],
         ],
     )
     def test_unit_pivot_minus_one_agrees_with_dense_elimination(self, dense):
-        """Without swaps, the pivot after step k is the leading principal
-        minor of order k + 1 up to sign: a negative pivot has its row
-        negated, so a minor of -1 leaves prev = 1 under every later row."""
+        """Without swaps, the core's pivot at step k is, up to sign, the
+        leading principal minor of order k + 1 over that of order k.  A
+        pivot of -1 has its row negated, and the core goes on while every
+        minor is +1 or -1, and raises at the first that is not."""
         size = len(dense)
         minors = [
             dense_bareiss_det(IntMatrix([row[:k] for row in dense[:k]]))
@@ -271,22 +340,18 @@ class TestDeterminants:
         ]
         assert 0 not in minors and -1 in minors[:-1]
         rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        assert bareiss_band_det(rows) == dense_bareiss_det(IntMatrix(dense)) == minors[-1]
+        assert dense_bareiss_det(IntMatrix(dense)) == minors[-1]
+        assert_core_matches_dense(IntMatrix(dense), rows)
 
-    def test_direct_never_divides(self, monkeypatch):
-        """On these grid bands every pivot is +1 or -1, and is made 1 by
-        negating its row, so no row is scaled or divided and divmod is
-        never called."""
-
-        def fail(*args):
-            raise AssertionError(f"divmod{args} called")
-
-        monkeypatch.setattr(el, "divmod", fail, raising=False)
-        for n in range(1, 17):
-            for m in range(1, 17):
-                det_direct(n, m)
-        for n, m in [(100, 20), (200, 10), (5, 2000)]:
-            det_direct(n, m, ceiling=n * m)
+    def test_direct_equals_closed_form_up_to_the_default_ceiling(self):
+        """Every grid of the default-ceiling domain, and four past it, has
+        unit pivots on its band, so the core returns and never raises."""
+        ceiling = DEFAULT_DIRECT_CEILING
+        for n in range(1, math.isqrt(ceiling) + 1):
+            for m in range(n, ceiling // n + 1):
+                assert det_direct(n, m) == det_closed_form(n, m), (n, m)
+        for n, m in [(100, 20), (200, 10), (5, 2000), (31, 200)]:
+            assert det_direct(n, m, ceiling=n * m) == det_closed_form(n, m), (n, m)
 
     def test_empty_matrix_has_determinant_one(self):
         assert bareiss_band_det([]) == 1
@@ -300,11 +365,12 @@ class TestDeterminants:
         assert bareiss_band_det([{-1: 0, 0: 3, 1: 0}]) == 3
 
     def test_rows_are_not_changed(self):
+        """Neither when the core returns nor when it raises."""
         rows = [{0: 1, 1: 1}, {0: 1, 1: 2}]
-        assert bareiss_band_det(rows) == 1
+        assert_core_matches_dense(IntMatrix([[1, 1], [1, 2]]), rows)
         assert rows == [{0: 1, 1: 1}, {0: 1, 1: 2}]
         rows = [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
-        assert bareiss_band_det(rows) == -16
+        assert_core_matches_dense(IntMatrix([[0, 2, 0], [2, 0, 3], [0, 1, 4]]), rows)
         assert rows == [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
 
 
@@ -340,7 +406,7 @@ class TestSylvester:
     def test_frozen_shape_and_value(self):
         s = sylvester_matrix(path_charpoly(1), path_charpoly(2))
         assert s.rows == ((-1, 0, 0), (0, -1, 0), (1, 0, -1))
-        assert bareiss_det(s) == -1
+        assert dense_bareiss_det(s) == -1
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -354,7 +420,7 @@ class TestSylvester:
         for n in range(1, 9):
             for m in range(1, 9):
                 f, g = path_charpoly(n), path_charpoly(m)
-                assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
+                assert dense_bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
 
     def test_determinant_equals_resultant_generic(self):
         """A non-monic f whose remainders stay led by +1 or -1 goes through;
@@ -362,9 +428,9 @@ class TestSylvester:
         determinant exists."""
         f = 2 * X**3 - X + 4
         g = X**2 + X + 1  # f mod g = -x + 6
-        assert bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
+        assert dense_bareiss_det(sylvester_matrix(f, g)) == resultant(f, g)
         g = X**2 + 3 * X - 1  # f mod g = 19x - 2
-        assert bareiss_det(sylvester_matrix(f, g)) == -243
+        assert dense_bareiss_det(sylvester_matrix(f, g)) == -243
         with pytest.raises(ValueError, match=r"got 19$"):
             resultant(f, g)
 

@@ -52,8 +52,9 @@ ORACLE_NAMES = (
     "X",
     "_expand",
     "adjacency_matrix",
-    "bareiss_det",
     "cofactor_det",
+    "dense_bareiss",
+    "dense_bareiss_det",
     "parity",
     "sylvester_matrix",
 )
