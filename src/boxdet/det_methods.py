@@ -3,12 +3,13 @@ algebraic identity suite that justifies them.
 
 The routes, for the grid graph P_n box P_m:
 
-* direct: 2-colour the grid from its edges; the determinant is 0 when the
-  colour classes differ in size, and (-1)**k det(C)**2 when both have k
-  vertices, with C the biadjacency matrix.  C's band, of width about
-  min(n, m)/2, is built from the edges and eliminated inside over unit
-  pivots, about (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix is
-  built.
+* direct: 2-colour the grid from its neighbour lists, built from the two
+  paths' edges; the determinant is 0 when the colour classes differ in
+  size, and (-1)**k det(C)**2 when both have k vertices, with C the
+  biadjacency matrix.  C's band, of width about min(n, m)/2, is built from
+  those lists and eliminated inside over unit pivots, about
+  (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix and no set of the
+  grid's edges is built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
-from .graphs import biadjacency_band, box_product, path
+from .graphs import biadjacency_band, box_neighbours, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
@@ -151,7 +152,9 @@ def _bipartite_det(k0: int, k1: int, det_squared: Callable[[], int]) -> int:
 
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     """Determinant of the grid adjacency matrix, from the band of its
-    biadjacency matrix C, assembled literally from the grid's edges.
+    biadjacency matrix C, assembled literally from the grid's edges: each
+    vertex's neighbours, listed straight from the two paths' edges
+    (:func:`~boxdet.graphs.box_neighbours`), with no Graph of the grid.
 
     The grid is bipartite, so in colour-class order its adjacency matrix is
     [[0, C], [C^T, 0]]: singular when the classes differ in size (odd nm),
@@ -169,8 +172,7 @@ def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    grid = box_product(path(max(n, m)), path(min(n, m)))
-    k0, k1, rows = biadjacency_band(grid)
+    k0, k1, rows = biadjacency_band(box_neighbours(path(max(n, m)), path(min(n, m))))
     return _bipartite_det(k0, k1, lambda: bareiss_band_det(rows) ** 2)
 
 

@@ -2,12 +2,15 @@
 matrix.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when the rows are emitted.
+only when the rows are emitted.  One rule builds a box product:
+:func:`box_neighbours` lists each product vertex's neighbours straight from
+the two factors' edges.  :func:`box_product` is the Graph of those lists,
+and :func:`biadjacency_band` colours such lists directly, so ``direct``
+builds no set of the grid's edges.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 
 from ._record import FrozenRecord
 
@@ -50,39 +53,64 @@ def path(n: int) -> Graph:
     return Graph(n, ((i, i + 1) for i in range(1, n)))
 
 
-def box_product(g: Graph, h: Graph) -> Graph:
-    """Box (Cartesian) product, with (i, j) relabeled as (i-1)*m + j.
+def box_neighbours(g: Graph, h: Graph) -> list[list[int]]:
+    """Neighbour lists of the box (Cartesian) product, with (i, j) relabeled
+    as (i-1)*m + j; index 0 is unused.
 
     m is the vertex count of h.  Two product vertices are adjacent when they
-    agree in one coordinate and are adjacent in the other, giving
-    n*|E(h)| + m*|E(g)| edges.
+    agree in one coordinate and are adjacent in the other, so each edge of h
+    joins its two ends in every row i, and each edge of g joins its two rows
+    in every column j.  Each product edge comes from one factor edge, so each
+    list holds each neighbour once, and v is in u's list exactly when u is
+    in v's.
     """
-    n, m = g.n_vertices, h.n_vertices
-    within = ((base + j, base + jp) for base in range(0, n * m, m) for j, jp in h.edges)
-    across = (
-        ((i - 1) * m + j, (ip - 1) * m + j) for i, ip in g.edges for j in range(1, m + 1)
+    m = h.n_vertices
+    size = g.n_vertices * m
+    neighbours: list[list[int]] = [[] for _ in range(size + 1)]
+    for base in range(0, size, m):
+        for j, jp in h.edges:
+            neighbours[base + j].append(base + jp)
+            neighbours[base + jp].append(base + j)
+    for i, ip in g.edges:
+        step = (ip - i) * m
+        for u in range((i - 1) * m + 1, i * m + 1):
+            neighbours[u].append(u + step)
+            neighbours[u + step].append(u)
+    return neighbours
+
+
+def box_product(g: Graph, h: Graph) -> Graph:
+    """Box (Cartesian) product, with (i, j) relabeled as (i-1)*m + j: the
+    graph whose edges are those of :func:`box_neighbours`.
+
+    m is the vertex count of h; the product has n*|E(h)| + m*|E(g)| edges.
+    """
+    neighbours = box_neighbours(g, h)
+    return Graph(
+        g.n_vertices * h.n_vertices,
+        ((u, v) for u, row in enumerate(neighbours) for v in row if u < v),
     )
-    return Graph(n * m, chain(within, across))
 
 
-def biadjacency_band(g: Graph) -> tuple[int, int, list[dict[int, int]]]:
-    """2-colour a bipartite graph and return ``(k0, k1, rows)``: the sizes
-    of its two colour classes and the rows of its biadjacency matrix C for
-    :func:`~boxdet.exact_linalg.bareiss_band_det`.
+def biadjacency_band(
+    neighbours: list[list[int]],
+) -> tuple[int, int, list[dict[int, int]]]:
+    """2-colour a bipartite graph, given as neighbour lists, and return
+    ``(k0, k1, rows)``: the sizes of its two colour classes and the rows of
+    its biadjacency matrix C for :func:`~boxdet.exact_linalg.bareiss_band_det`.
 
-    In colour-class order the adjacency matrix is [[0, C], [C^T, 0]], with
-    C of size k0 x k1.  Each component is coloured by breadth-first search
-    from its smallest vertex, which gets colour 0, and each class is
-    numbered in vertex order.  Row r of C, for the r-th colour-0 vertex,
-    maps the class-1 position of each of its neighbours to 1, so a vertex
-    with no neighbour is ``{}``.  Raises ValueError if the graph has an odd
-    cycle.
+    ``neighbours[v]`` lists the neighbours of vertex v in 1..n, with n =
+    ``len(neighbours) - 1`` and index 0 unused, as :func:`box_neighbours`
+    gives them; v must be in u's list exactly when u is in v's.  In
+    colour-class order the adjacency
+    matrix is [[0, C], [C^T, 0]], with C of size k0 x k1.  Each component
+    is coloured by breadth-first search from its smallest vertex, which gets
+    colour 0, and each class is numbered in vertex order.  Row r of C, for
+    the r-th colour-0 vertex, maps the class-1 position of each of its
+    neighbours to 1, so a vertex with no neighbour is ``{}``.  Raises
+    ValueError if the graph has an odd cycle.
     """
-    n = g.n_vertices
-    neighbours: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
+    n = len(neighbours) - 1
     colour = [-1] * (n + 1)
     for root in range(1, n + 1):
         if colour[root] >= 0:

@@ -23,10 +23,15 @@ The oracles share no code with the library paths they check:
 * det(H)**2 of an interval matrix H, whose rows are runs of ones, comes
   from expanding the runs into a dense H and eliminating it densely (the
   check on the block method's union-find over the runs' ends);
+* a box product's edges come from its definition, tested on every pair of
+  product vertices (the check on the neighbour lists built from the two
+  factors' edges);
+* a graph's neighbour lists are read off its edges and sorted, the input
+  of the breadth-first colouring;
 * a graph's dense adjacency matrix is written from its edges, and a
   bipartite graph's colour classes and biadjacency rows are read from it
   by repeated sweeps with no queue (the check on the breadth-first rows
-  built from a graph's edges);
+  built from a graph's neighbour lists);
 * a polynomial's parity is read from its coefficient support;
 * eigenvalues come from the known path-spectrum cosine formula, and random
   matrices are drawn from a seeded generator.
@@ -134,6 +139,35 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
         rows[u - 1][v - 1] = 1
         rows[v - 1][u - 1] = 1
     return IntMatrix(rows)
+
+
+def box_product_by_definition(g: Graph, h: Graph) -> Graph:
+    """The box product of g and h, with (i, j) labelled (i-1)*m + j for m
+    the vertex count of h, from its definition: every pair of product
+    vertices is tested, and two are adjacent when they agree in one
+    coordinate and are adjacent in the other."""
+    n, m = g.n_vertices, h.n_vertices
+    vertices = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    edges = set()
+    for u, (i, j) in enumerate(vertices, 1):
+        for v, (ip, jp) in enumerate(vertices, 1):
+            if u < v and (
+                (i == ip and (min(j, jp), max(j, jp)) in h.edges)
+                or (j == jp and (min(i, ip), max(i, ip)) in g.edges)
+            ):
+                edges.add((u, v))
+    return Graph(n * m, edges)
+
+
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours in increasing order, indexed by vertex with
+    index 0 unused: the input :func:`boxdet.graphs.biadjacency_band`
+    takes."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n_vertices + 1)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return [sorted(row) for row in neighbours]
 
 
 class Parity(enum.Enum):

@@ -369,6 +369,31 @@ class TestDirectBand:
                 det_direct(n, m)
                 assert sizes == ([] if n * m % 2 else [n * m // 2]), (n, m)
 
+    def test_builds_only_the_two_paths(self, monkeypatch):
+        """direct reads the grid as neighbour lists built from the two
+        paths' edges: it calls no box_product and constructs no Graph but
+        the two paths, none of n*m vertices."""
+        import boxdet.det_methods as dm
+        import boxdet.graphs as graphs
+
+        built = []
+        real_init = graphs.Graph.__init__
+
+        def init(self, n_vertices, edges=()):
+            built.append(n_vertices)
+            real_init(self, n_vertices, edges)
+
+        def no_box_product(g, h):
+            raise AssertionError("det_direct called box_product")
+
+        monkeypatch.setattr(graphs.Graph, "__init__", init)
+        for module in (graphs, dm):
+            monkeypatch.setattr(module, "box_product", no_box_product, raising=False)
+        for n, m in ((1, 7), (7, 1), (4, 5), (5, 4), (19, 21), (20, 20)):
+            built.clear()
+            assert det_direct(n, m) == det_closed_form(n, m), (n, m)
+            assert sorted(built) == sorted((n, m)), (n, m)
+
 
 def _squared(p: IntPoly) -> IntPoly:
     """p(x**2)."""

@@ -1,18 +1,20 @@
-"""Graph layer: paths, box products, adjacency matrices and biadjacency
-bands."""
+"""Graph layer: paths, box products and their neighbour lists, adjacency
+matrices and biadjacency bands."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     IntMatrix,
     adjacency_matrix,
+    box_product_by_definition,
     dense_bareiss_det,
     dense_biadjacency_band,
+    neighbour_lists,
 )
-from boxdet.graphs import Graph, biadjacency_band, box_product, path
+from boxdet.graphs import Graph, biadjacency_band, box_neighbours, box_product, path
 
 
 class TestGraph:
@@ -97,6 +99,44 @@ class TestBoxProduct:
         assert box_product(path(4), path(1)) == path(4)
 
 
+@st.composite
+def small_graphs(draw) -> Graph:
+    """A graph on 1 to 5 vertices with a random set of edges, so loose
+    vertices, several components and odd cycles all appear."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, edges)
+
+
+class TestBoxNeighbours:
+    @settings(max_examples=300)
+    @given(small_graphs(), small_graphs())
+    def test_product_of_any_two_graphs_is_the_definition(self, g, h):
+        """The lists hold each product edge of the definition once at each
+        end, symmetric and with no duplicates, and box_product has the same
+        edges."""
+        expected = box_product_by_definition(g, h)
+        neighbours = box_neighbours(g, h)
+        assert len(neighbours) == expected.n_vertices + 1
+        assert neighbours[0] == []
+        for u, row in enumerate(neighbours):
+            assert len(row) == len(set(row)), (u, row)
+            for v in row:
+                assert u in neighbours[v], (u, v)
+        edges = {(u, v) for u, row in enumerate(neighbours) for v in row if u < v}
+        assert edges == expected.edges
+        assert box_product(g, h) == expected
+
+    def test_grids_are_the_definition(self):
+        for n in range(1, 8):
+            for m in range(1, 8):
+                g = box_product(path(n), path(m))
+                assert g == box_product_by_definition(path(n), path(m)), (n, m)
+                neighbours = box_neighbours(path(n), path(m))
+                assert [sorted(row) for row in neighbours] == neighbour_lists(g), (n, m)
+
+
 class TestAdjacencyMatrix:
     def test_frozen_small_paths(self):
         assert adjacency_matrix(path(1)) == IntMatrix([[0]])
@@ -169,17 +209,18 @@ class TestBiadjacencyBand:
         graphs += [path(n) for n in range(1, 20)]
         graphs.append(Graph(6, frozenset({(1, 5), (2, 3), (3, 6)})))
         for g in graphs:
-            assert biadjacency_band(g) == dense_biadjacency_band(adjacency_matrix(g)), g
+            band = biadjacency_band(neighbour_lists(g))
+            assert band == dense_biadjacency_band(adjacency_matrix(g)), g
 
     def test_single_vertex_is_one_empty_row(self):
-        assert biadjacency_band(path(1)) == (1, 0, [{}])
+        assert biadjacency_band(neighbour_lists(path(1))) == (1, 0, [{}])
 
     def test_odd_cycle_is_rejected(self):
         triangle = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
         five_cycle = Graph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}))
         for g in (triangle, five_cycle):
             with pytest.raises(ValueError, match="odd cycle"):
-                biadjacency_band(g)
+                biadjacency_band(neighbour_lists(g))
 
     @given(bipartite_graphs())
     def test_determinant_from_the_band(self, g):
@@ -188,7 +229,7 @@ class TestBiadjacencyBand:
         (-1)**k det(C)**2 when both have k vertices.  A random C may meet
         pivots other than +1 and -1, so det(C) comes from dense elimination."""
         a = adjacency_matrix(g)
-        k, other, rows = biadjacency_band(g)
+        k, other, rows = biadjacency_band(neighbour_lists(g))
         assert (k, other, rows) == dense_biadjacency_band(a)
         if k != other:
             assert dense_bareiss_det(a) == 0
