@@ -1,10 +1,10 @@
 """Exact determinants of box products of paths, four independent ways.
 
 The package computes det(A(P_n box P_m)) over the integers with no floating
-point anywhere: direct fraction-free elimination, a block reduction through
-the path characteristic polynomial, a resultant form of the root product,
-and the closed-form gcd rule.  A divisibility-based identity suite verifies
-the algebra that makes the four agree.
+point anywhere: direct integer elimination over unit pivots, a block
+reduction through the path characteristic polynomial, a resultant form of
+the root product, and the closed-form gcd rule.  A divisibility-based
+identity suite verifies the algebra that makes the four agree.
 """
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,

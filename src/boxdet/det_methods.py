@@ -7,9 +7,10 @@ The routes, for the grid graph P_n box P_m:
   paths' edges; the determinant is 0 when the colour classes differ in
   size, and (-1)**k det(C)**2 when both have k vertices, with C the
   biadjacency matrix.  C's band, of width about min(n, m)/2, is built from
-  those lists and eliminated inside over unit pivots, about
-  (nm/2) * (min(n, m)/2)**2 steps; no nm x nm matrix and no set of the
-  grid's edges is built.
+  those lists and eliminated inside over unit pivots, at most about
+  (nm/2) * (min(n, m)/2)**2 entry updates (219,648 of that bound's
+  1,620,000 at 60 x 60); no nm x nm matrix and no set of the grid's edges
+  is built.
 * block: det(q_n(-B)) where B is the m-path adjacency matrix and q_n the
   n-path characteristic polynomial, using the block view of the product's
   adjacency matrix over the ring generated by B.  q_n(-B) = U_n(B/2) comes

@@ -9,6 +9,9 @@ never a wrong value.
 """
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import sub
+
 
 def bareiss_band_det(rows: list[dict[int, int]]) -> int:
     """Exact determinant by integer elimination of a square matrix whose
@@ -36,17 +39,19 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
     n = len(rows)
     if not n:
         return 1
-    a = [{col: x for col, x in row.items() if x} for row in rows]
-    spans = [(i, min(row), max(row)) for i, row in enumerate(a) if row]
-    for i, left, right in spans:
-        if left < 0 or right >= n:
-            raise ValueError(f"row {i} has a nonzero entry outside columns 0..{n - 1}")
-    low = max([1] + [i - left for i, left, _ in spans])
+    a = list(map(dict, rows))
+    if 0 in chain.from_iterable(map(dict.values, a)):
+        a = [{col: x for col, x in row.items() if x} for row in a]
+    nonempty = list(filter(None, a))
+    lefts = list(map(min, nonempty))
+    if lefts and (min(lefts) < 0 or max(map(max, nonempty)) >= n):
+        i = next(i for i, row in enumerate(a) if row and (min(row) < 0 or max(row) >= n))
+        raise ValueError(f"row {i} has a nonzero entry outside columns 0..{n - 1}")
+    low = max([1, *map(sub, compress(range(n), a), lefts)])
     sign = 1
     for k in range(n - 1):
-        last = min(k + low, n - 1)
         if k not in a[k]:
-            for i in range(k + 1, last + 1):
+            for i in range(k + 1, min(k + 1 + low, n)):
                 if k in a[i]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
@@ -59,8 +64,7 @@ def bareiss_band_det(rows: list[dict[int, int]]) -> int:
             sign, tail = -sign, {col: -y for col, y in tail.items()}
         elif pivot != 1:
             raise ValueError(f"pivot must be +1 or -1, got {pivot} at step {k}")
-        for i in range(k + 1, last + 1):
-            row = a[i]
+        for row in a[k + 1 : k + 1 + low]:
             if k in row:
                 factor = row.pop(k)
                 for col, y in tail.items():

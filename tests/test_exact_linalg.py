@@ -293,6 +293,8 @@ class TestDeterminants:
             [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}],
         )
     )
+    # an empty row does not end the elimination: pivot 2 still raises at step 0
+    @example((IntMatrix([[2, 0], [0, 0]]), [{0: 2}, {}]))
     def test_band_core_agrees_with_dense_elimination(self, case):
         m, rows = case
         assert_core_matches_dense(m, rows)
@@ -361,6 +363,9 @@ class TestDeterminants:
             bareiss_band_det([{0: 1, 1: 5}])
         with pytest.raises(ValueError, match="row 1 .* outside columns 0..1"):
             bareiss_band_det([{0: 1, 1: 0}, {-1: 2, 1: 1}])
+        # an empty row before the bad one is skipped, not named
+        with pytest.raises(ValueError, match="row 1 .* outside columns 0..1"):
+            bareiss_band_det([{}, {0: 1, 2: 1}])
         # a zero entry is no entry, wherever it lies
         assert bareiss_band_det([{-1: 0, 0: 3, 1: 0}]) == 3
 
@@ -372,6 +377,11 @@ class TestDeterminants:
         rows = [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
         assert_core_matches_dense(IntMatrix([[0, 2, 0], [2, 0, 3], [0, 1, 4]]), rows)
         assert rows == [{1: 2, 2: 0}, {0: 2, 2: 3}, {1: 1, 2: 4}]
+        # the zeros are filtered out of the copy, then the range check raises
+        rows = [{0: 1, 1: 0}, {-1: 2, 1: 1}]
+        with pytest.raises(ValueError, match="row 1 .* outside columns 0..1"):
+            bareiss_band_det(rows)
+        assert rows == [{0: 1, 1: 0}, {-1: 2, 1: 1}]
 
 
 class TestMatpolyEval:
