@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from collections.abc import Collection, Iterator
+from functools import lru_cache
 
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,
@@ -83,7 +84,9 @@ def parse_sizes(text: str) -> list[tuple[int, int]]:
 # --- det, sweep and bench ----------------------------------------------------
 
 
-def _verify(args: argparse.Namespace, pairs: list[tuple[int, int]]) -> list[DetReport]:
+def _verify(
+    args: argparse.Namespace, pairs: Collection[tuple[int, int]]
+) -> list[DetReport]:
     """One report per (n, m) pair, under the command's methods and ceilings."""
     methods = frozenset(_TO_LIBRARY_NAME[name] for name in args.methods)
     return [
@@ -256,7 +259,7 @@ def _add_method_flags(sub: argparse.ArgumentParser) -> None:
         "--methods",
         nargs="+",
         choices=CLI_METHODS,
-        default=list(CLI_METHODS),
+        default=CLI_METHODS,
         help="methods to run (default: all four)",
     )
     sub.add_argument(
@@ -273,7 +276,11 @@ def _add_method_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``boxdet`` parser, built once per process and shared by every
+    :func:`main` call.  Its defaults are immutable and parsing keeps no state
+    in it, so no call sees what an earlier one parsed."""
     parser = argparse.ArgumentParser(
         prog="boxdet",
         description=(
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--sizes",
         type=parse_sizes,
-        default=[],
+        default=(),
         help="comma-separated NxM pairs, e.g. 4x4,8x8,16x16",
     )
     _add_method_flags(bench)

@@ -378,7 +378,13 @@ def check_annihilation(k: int, t: int) -> IdentityReport:
 
 def check_power(k: int, a: int, b: int) -> IdentityReport:
     """At every root of q_k, q_{a(k+1)+b} = q_{k+1}**a * q_b; checked as
-    q_k dividing the difference."""
+    q_k dividing the difference.
+
+    The power comes already reduced modulo q_k (:func:`_path_power`), so
+    the product subtracted has degree below 2k, not a(k+1)+b.  q_k divides
+    what the reduction drops, so the residue, and any witness, is the
+    remainder of the unreduced difference.  q_{a(k+1)+b} is divided in full.
+    """
     _require_positive(k=k, a=a)
     if not 0 <= b <= k:
         raise ValueError(f"offset must satisfy 0 <= b <= k, got b={b}, k={k}")
@@ -391,9 +397,10 @@ def check_power(k: int, a: int, b: int) -> IdentityReport:
 
 @lru_cache(maxsize=4)
 def _path_power(k: int, a: int) -> IntPoly:
-    """q_k**a, which check_power needs once per offset b; identity_suite
-    runs b innermost, so the few most recent powers are all it keeps."""
-    return path_charpoly(k) ** a
+    """q_k**a modulo q_{k-1}, of degree below k - 1: the power that
+    check_power(k - 1, a, b) needs once per offset b.  identity_suite runs
+    b innermost, so the few most recent powers are all it keeps."""
+    return pseudo_rem(path_charpoly(k) ** a, path_charpoly(k - 1))
 
 
 def check_product_n_plus_1(n: int) -> IdentityReport:

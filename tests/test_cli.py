@@ -398,3 +398,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "n,m,gcd,det,methods_agree\n2,3,1,-1,true\n"
+
+    def test_reused_parser_matches_a_fresh_process(self, capsys):
+        """main reuses one parser per process; after a run with --methods and
+        a usage error, det and bench print what a fresh process prints."""
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(capsys, "det", "4", "5", "--methods", "block")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "0", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (["det", "4", "5"], ["bench"]):
+            code, out, err = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "boxdet", *argv],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+            assert (code, TIMING.sub("[ms]", out), err) == (
+                fresh.returncode,
+                TIMING.sub("[ms]", fresh.stdout),
+                fresh.stderr,
+            ), argv

@@ -450,6 +450,32 @@ class TestResultantHalves:
                 assert det_resultant(n, m) == det_closed_form(n, m), (n, m)
                 assert degrees == ([] if n * m % 2 else [(n // 2, m // 2)]), (n, m)
 
+    def test_every_remainder_is_plus_or_minus_a_path_half(self, monkeypatch):
+        """Every nonzero remainder of the sequence det_resultant runs is +F_j
+        or -F_j for some path half F_j.  A fact about path polynomials that
+        this test asserts; no code path relies on it."""
+        import boxdet.polynomials as polynomials
+
+        halves = {_square_half(j).coeffs for j in range(40)}
+        halves |= {tuple(-c for c in h) for h in halves}
+        rem = polynomials._rem
+        seen = []
+
+        def spy(a, b):
+            r = rem(a, b)
+            seen.append(tuple(r))
+            return r
+
+        monkeypatch.setattr(polynomials, "_rem", spy)
+        count = 0
+        for n in range(1, 40):
+            for m in range(1, 40):
+                seen.clear()
+                det_resultant(n, m)
+                assert all(r in halves for r in seen if r), (n, m)
+                count += sum(map(bool, seen))
+        assert count > 1000
+
     def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
         import boxdet.det_methods as dm
 
@@ -698,6 +724,17 @@ class TestIdentityChecks:
         assert report.witness is None
 
 
+def _dense_residue(a: IntPoly, b: IntPoly) -> IntPoly | None:
+    """a modulo b, for b led by +1 or -1, from the dense pseudo-division
+    oracle with its lc(b)**steps factor taken off; None when it is zero."""
+    if a.degree < b.degree:
+        rem = list(a.coeffs)
+    else:
+        scale = b.leading_coefficient ** (len(a.coeffs) - b.degree)
+        rem = [c * scale for c in dense_prem(list(a.coeffs), list(b.coeffs))]
+    return IntPoly(tuple(rem)) if rem else None
+
+
 class TestIdentitySuite:
     def test_full_default_bounds_pass(self):
         reports = identity_suite()
@@ -755,13 +792,7 @@ class TestIdentitySuite:
         q = path_charpoly
 
         def witness(a: IntPoly, k: int) -> IntPoly | None:
-            b = q(k)
-            if a.degree < b.degree:
-                rem = list(a.coeffs)
-            else:
-                scale = b.leading_coefficient ** (len(a.coeffs) - k)
-                rem = [c * scale for c in dense_prem(list(a.coeffs), list(b.coeffs))]
-            return IntPoly(tuple(rem)) if rem else None
+            return _dense_residue(a, q(k))
 
         ks = range(1, 13)
         expected = [
@@ -805,3 +836,43 @@ class TestIdentitySuite:
         assert info.maxsize is not None and info.maxsize <= 8
         assert info.currsize <= info.maxsize
         assert info.misses == 20 * 4
+        for k in range(1, 21):
+            for a in range(1, 5):
+                assert _path_power(k + 1, a).degree < k, (k, a)
+
+    def test_power_witnesses_survive_a_fault(self, monkeypatch):
+        """With one dividend q_40 and one q_{k+1} = q_13 perturbed below their
+        leading terms, every failing power check carries the remainder of
+        the unreduced difference, q_{a(k+1)+b} - q_{k+1}**a * q_b, by the
+        dense oracle: reducing the cached power modulo q_k changes no
+        witness, even where the perturbed q_13 is the divisor."""
+        import boxdet.det_methods as dm
+
+        faults = {40: 3 * X**7 + 1, 13: X**12 - 2 * X}
+
+        def faulty(k: int) -> IntPoly:
+            return path_charpoly(k) + faults.get(k, 0)
+
+        monkeypatch.setattr(dm, "path_charpoly", faulty)
+        _path_power.cache_clear()
+        try:
+            failures = [
+                report
+                for k in range(1, 26)
+                for a in range(1, 5)
+                for b in range(k + 1)
+                if not (report := check_power(k, a, b)).passed
+            ]
+        finally:
+            _path_power.cache_clear()
+        touched = set()
+        for report in failures:
+            k, a, b = report.params["k"], report.params["a"], report.params["b"]
+            touched.add(a * (k + 1) + b)
+            difference = faulty(a * (k + 1) + b) - convolve(
+                repeated_power(faulty(k + 1), a), faulty(b)
+            )
+            assert report.witness == _dense_residue(difference, faulty(k)), (k, a, b)
+        assert {40, 13} <= touched
+        assert any(r.params["k"] == 12 for r in failures)
+        assert any(r.params["k"] == 13 for r in failures)
