@@ -25,7 +25,7 @@ from .det_methods import (
     identity_suite,
     verify_all,
 )
-from .graphs import Graph, box_product, path
+from .graphs import Graph, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 __version__ = "1.0.0"
@@ -39,7 +39,6 @@ __all__ = [
     "IntPoly",
     "SizeLimitError",
     "__version__",
-    "box_product",
     "check_annihilation",
     "check_power",
     "check_product_n_plus_1",

@@ -29,7 +29,7 @@ from functools import lru_cache
 from .det_methods import (
     DEFAULT_BLOCK_CEILING,
     DEFAULT_DIRECT_CEILING,
-    METHOD_NAMES,
+    METHODS,
     DetReport,
     IdentityReport,
     identity_suite,
@@ -39,10 +39,8 @@ from .polynomials import path_charpoly, poly_to_json
 
 FORMATS = ("pretty", "json", "csv")
 
-# Method names as spelled on the command line, paired by position with the
-# library's METHOD_NAMES; "closed" is the library's "closed_form".
-CLI_METHODS = ("direct", "block", "resultant", "closed")
-_TO_LIBRARY_NAME = dict(zip(CLI_METHODS, METHOD_NAMES))
+# Method names as spelled on the command line, in METHODS order.
+CLI_METHODS = tuple(cli_name for _, cli_name, _ in METHODS)
 
 SWEEP_CSV_HEADER = ("n", "m", "gcd", "det", "methods_agree")
 BENCH_CSV_HEADER = ("n", "m", "method", "status", "det", "elapsed_ms")
@@ -88,7 +86,7 @@ def _verify(
     args: argparse.Namespace, pairs: Collection[tuple[int, int]]
 ) -> list[DetReport]:
     """One report per (n, m) pair, under the command's methods and ceilings."""
-    methods = frozenset(_TO_LIBRARY_NAME[name] for name in args.methods)
+    methods = {name for name, cli_name, _ in METHODS if cli_name in args.methods}
     return [
         verify_all(
             n,
@@ -119,9 +117,9 @@ def _method_rows(
     report: DetReport, cli_names: Collection[str]
 ) -> Iterator[tuple[str, str, int | None, float | None]]:
     """``(cli name, library name, value, ms)`` for each method in
-    ``cli_names``, in METHOD_NAMES order; value and ms are None for a method
+    ``cli_names``, in METHODS order; value and ms are None for a method
     that its ceiling skipped."""
-    for cli_name, name in _TO_LIBRARY_NAME.items():
+    for name, cli_name, _ in METHODS:
         if cli_name in cli_names:
             value = getattr(report, name)
             ms = None if value is None else report.elapsed.get(name, 0.0) * 1000.0
@@ -140,9 +138,10 @@ def _print_det_pretty(report: DetReport, cli_names: list[str]) -> None:
         f"P_{report.n} box P_{report.m}: {report.n * report.m} vertices, "
         f"gcd(n+1, m+1) = {_report_gcd(report)}"
     )
-    # The closed form always runs and anchors the report, so it has a row even
-    # when not selected; any other unselected method gets no row at all.
-    for _, name, value, ms in _method_rows(report, {*cli_names, "closed"}):
+    # A method that ran without being selected has a row too; any other
+    # unselected method gets no row at all.
+    ran = {cli_name for name, cli_name, _ in METHODS if name in report.elapsed}
+    for _, name, value, ms in _method_rows(report, {*cli_names, *ran}):
         if value is None:
             print(f"  {name:<12} skipped (ceiling)")
         else:

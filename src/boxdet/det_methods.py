@@ -43,7 +43,16 @@ from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 DEFAULT_DIRECT_CEILING = 400
 DEFAULT_BLOCK_CEILING = 60
 
-METHOD_NAMES = ("direct", "block", "resultant", "closed_form")
+# One row per method, in report order: its DetReport field and JSON key
+# (det_<field> is its function), its spelling after --methods, and the
+# verify_all keyword of its ceiling, None when it has none.
+METHODS = (
+    ("direct", "direct", "ceiling"),
+    ("block", "block", "block_ceiling"),
+    ("resultant", "resultant", None),
+    ("closed_form", "closed", None),
+)
+METHOD_NAMES = tuple(name for name, _, _ in METHODS)
 
 IDENTITY_NAMES = (
     "splitting",
@@ -68,13 +77,14 @@ def _require_positive(**params: int) -> None:
 class DetReport(FrozenRecord):
     """Results of every determinant method that ran for one (n, m) pair.
 
-    ``direct``, ``block`` and ``resultant`` are None when skipped (size
-    ceiling); the closed form always runs.  ``agree``, derived from the
-    values, holds exactly when all computed values coincide.  Elapsed times
-    are wall-clock seconds, and ``elapsed=None`` stores a new empty dict.
+    One field per row of METHODS, in its order, holds that method's value,
+    or None when it was skipped (size ceiling) or not asked for.
+    ``agree``, derived from the values, holds exactly when all computed
+    values coincide.  Elapsed times are wall-clock seconds, and
+    ``elapsed=None`` stores a new empty dict.
     """
 
-    __slots__ = ("n", "m", "direct", "block", "resultant", "closed_form", "elapsed")
+    __slots__ = ("n", "m", *METHOD_NAMES, "elapsed")
 
     def __init__(
         self,
@@ -88,12 +98,9 @@ class DetReport(FrozenRecord):
     ) -> None:
         if closed_form not in (-1, 0, 1):
             raise ValueError(f"closed form value out of range: {closed_form}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "resultant", resultant)
-        object.__setattr__(self, "closed_form", closed_form)
+        values = (n, m, direct, block, resultant, closed_form)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "elapsed", {} if elapsed is None else elapsed)
 
     @property
@@ -295,34 +302,32 @@ def verify_all(
     block_ceiling: int = DEFAULT_BLOCK_CEILING,
     methods: frozenset[str] | set[str] = frozenset(METHOD_NAMES),
 ) -> DetReport:
-    """Run every requested method, in METHOD_NAMES order, and compare.
+    """Run every requested method, in METHODS order, and compare.
 
-    Each method checks its own ceiling before doing any work; one that
-    raises SizeLimitError is recorded as skipped: its value is None and it
-    has no elapsed entry.  The closed form always runs (it is O(log)
-    arithmetic and anchors the report).
+    Each runs as ``det_<name>(n, m)``, plus its row's ceiling if it has
+    one, which it checks before doing any work; one that raises
+    SizeLimitError is recorded as skipped: its value is None and it has no
+    elapsed entry.  The closed form always runs (it is O(log) arithmetic
+    and anchors the report).
     """
     _require_positive(n=n, m=m)
     unknown = set(methods) - set(METHOD_NAMES)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
 
-    # Each entry looks its function up by name when called, so a wrapper
-    # rebound over a module-level name sees every call.
-    runs = {
-        "direct": lambda: det_direct(n, m, ceiling),
-        "block": lambda: det_block(n, m, block_ceiling),
-        "resultant": lambda: det_resultant(n, m),
-        "closed_form": lambda: det_closed_form(n, m),
-    }
+    ceilings = {"ceiling": ceiling, "block_ceiling": block_ceiling}
     values: dict[str, int | None] = dict.fromkeys(METHOD_NAMES)
     elapsed: dict[str, float] = {}
-    for name in METHOD_NAMES:
+    for name, _, keyword in METHODS:
         if name not in methods and name != "closed_form":
             continue
+        # Looked up by name at each call, so a wrapper rebound over a
+        # module-level det_* name sees every call.
+        run = globals()["det_" + name]
+        args = (n, m) if keyword is None else (n, m, ceilings[keyword])
         start = time.perf_counter()
         try:
-            values[name] = runs[name]()
+            values[name] = run(*args)
         except SizeLimitError:
             continue
         elapsed[name] = time.perf_counter() - start

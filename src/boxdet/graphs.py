@@ -2,11 +2,11 @@
 matrix.
 
 Vertices are the 1-based integers 1..n throughout; the 0-based shift happens
-only when the rows are emitted.  One rule builds a box product:
-:func:`box_neighbours` lists each product vertex's neighbours straight from
-the two factors' edges.  :func:`box_product` is the Graph of those lists,
-and :func:`biadjacency_band` colours such lists directly, so ``direct``
-builds no set of the grid's edges.
+only when the rows are emitted.  A box product is built only as neighbour
+lists: :func:`box_neighbours` lists each product vertex's neighbours
+straight from the two factors' edges, and :func:`biadjacency_band` colours
+such lists directly, so ``direct`` builds no set or Graph of the grid's
+edges.
 """
 from __future__ import annotations
 
@@ -77,19 +77,6 @@ def box_neighbours(g: Graph, h: Graph) -> list[list[int]]:
             neighbours[u].append(u + step)
             neighbours[u + step].append(u)
     return neighbours
-
-
-def box_product(g: Graph, h: Graph) -> Graph:
-    """Box (Cartesian) product, with (i, j) relabeled as (i-1)*m + j: the
-    graph whose edges are those of :func:`box_neighbours`.
-
-    m is the vertex count of h; the product has n*|E(h)| + m*|E(g)| edges.
-    """
-    neighbours = box_neighbours(g, h)
-    return Graph(
-        g.n_vertices * h.n_vertices,
-        ((u, v) for u, row in enumerate(neighbours) for v in row if u < v),
-    )
 
 
 def biadjacency_band(

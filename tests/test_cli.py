@@ -93,6 +93,23 @@ class TestDet:
         assert "  block        1  [" in out
         assert "  closed_form  1  [" in out
 
+    def test_det_pretty_rows_follow_the_elapsed_entries(self, capsys, monkeypatch):
+        """An unselected method gets a row exactly when the report timed it,
+        whichever method that is; the rows keep the table's order."""
+        fake = DetReport(n=2, m=3, direct=-1, block=None, resultant=-1,
+                         closed_form=-1,
+                         elapsed={"direct": 0.001, "closed_form": 0.002})
+        monkeypatch.setattr(cli, "verify_all", lambda *a, **k: fake)
+        code, out, _ = run_cli(capsys, "det", "2", "3", "--methods", "block")
+        assert code == 0
+        assert TIMING.sub("[ms]", out) == (
+            "P_2 box P_3: 6 vertices, gcd(n+1, m+1) = 1\n"
+            "  direct       -1  [ms]\n"
+            "  block        skipped (ceiling)\n"
+            "  closed_form  -1  [ms]\n"
+            "  agree: true\n"
+        )
+
     def test_det_disagreement_exits_nonzero(self, capsys, monkeypatch):
         fake = DetReport(n=2, m=3, direct=-1, block=1, resultant=None,
                          closed_form=-1)
@@ -386,6 +403,22 @@ class TestCeilingBoundary:
         report = det_methods.verify_all(4, 5, **{keyword: bound - below})
         assert set(report.results()) == expected
         assert set(report.elapsed) == expected
+
+
+class TestMethodChoices:
+    @pytest.mark.parametrize("command", ["det", "sweep", "bench"])
+    def test_choices_are_the_table_spellings(self, command):
+        """--methods offers, and defaults to, each method's command-line
+        spelling from det_methods.METHODS, in the table's order."""
+        spellings = tuple(cli_name for _, cli_name, _ in det_methods.METHODS)
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if a.dest == "command")
+        (methods,) = (
+            a for a in commands.choices[command]._actions if a.dest == "methods"
+        )
+        assert tuple(methods.choices) == spellings
+        assert tuple(methods.default) == spellings
+        assert cli.CLI_METHODS == spellings
 
 
 class TestEntryPoints:

@@ -1,6 +1,7 @@
 """The four determinant methods, their agreement, and the identity suite."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import time
@@ -14,6 +15,7 @@ from _oracles import (
     X,
     IntMatrix,
     adjacency_matrix,
+    box_product_by_definition,
     cofactor_det,
     convolve,
     dense_bareiss_det,
@@ -31,6 +33,8 @@ from _oracles import (
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
     IDENTITY_NAMES,
+    METHOD_NAMES,
+    METHODS,
     DetReport,
     IdentityReport,
     SizeLimitError,
@@ -52,7 +56,7 @@ from boxdet.det_methods import (
     verify_all,
 )
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.graphs import box_product, path
+from boxdet.graphs import path
 from boxdet.polynomials import ONE, IntPoly, path_charpoly, resultant
 
 
@@ -349,7 +353,7 @@ class TestDirectBand:
     def test_agrees_with_the_whole_adjacency_matrix_up_to_12(self):
         for n in range(1, 13):
             for m in range(1, 13):
-                grid = box_product(path(n), path(m))
+                grid = box_product_by_definition(path(n), path(m))
                 whole = dense_bareiss_det(adjacency_matrix(grid))
                 assert det_direct(n, m) == whole, (n, m)
 
@@ -550,7 +554,8 @@ class TestAgreement:
     def test_block_identity_at_matrix_level(self):
         for n in range(1, 9):
             for m in range(1, 9):
-                assembled = adjacency_matrix(box_product(path(n), path(m)))
+                grid = box_product_by_definition(path(n), path(m))
+                assembled = adjacency_matrix(grid)
                 minus_b = scale_rows(-1, adjacency_matrix(path(m)).rows)
                 reduced = IntMatrix(matpoly_eval(path_charpoly(n), minus_b))
                 assert dense_bareiss_det(reduced) == dense_bareiss_det(assembled), (n, m)
@@ -558,7 +563,7 @@ class TestAgreement:
     def test_resultant_bridge_against_direct_assembly(self):
         for n in range(1, 7):
             for m in range(1, 7):
-                grid = box_product(path(n), path(m))
+                grid = box_product_by_definition(path(n), path(m))
                 direct = dense_bareiss_det(adjacency_matrix(grid))
                 assert det_resultant(n, m) == direct, (n, m)
 
@@ -635,6 +640,63 @@ class TestVerifyAll:
         assert data["agree"] is True
         assert set(data["elapsed_ms"]) == {"direct", "block", "resultant", "closed_form"}
         assert all(isinstance(v, float) for v in data["elapsed_ms"].values())
+
+
+class TestMethodTable:
+    def test_rows(self):
+        """Each row: the DetReport field and JSON key, the spelling after
+        --methods, and the verify_all keyword of its ceiling."""
+        assert METHODS == (
+            ("direct", "direct", "ceiling"),
+            ("block", "block", "block_ceiling"),
+            ("resultant", "resultant", None),
+            ("closed_form", "closed", None),
+        )
+        assert METHOD_NAMES == ("direct", "block", "resultant", "closed_form")
+        assert DetReport.__slots__ == ("n", "m", *METHOD_NAMES, "elapsed")
+        keywords = inspect.signature(verify_all).parameters
+        for _, _, keyword in METHODS:
+            assert keyword is None or keyword in keywords, keyword
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (50, 60), (100, 101)])
+    def test_json_results_in_table_order(self, n, m):
+        """Every method has a key, in table order, whether it ran or not."""
+        for methods in (set(METHOD_NAMES), {"closed_form"}):
+            results = verify_all(n, m, methods=methods).to_json_dict()["results"]
+            assert list(results) == list(METHOD_NAMES), (n, m, methods)
+
+    def test_each_method_is_looked_up_by_name_at_call_time(self, monkeypatch):
+        """verify_all calls whatever det_<name> the module holds when it
+        runs, so a wrapper rebound over that name from outside, as the
+        benchmark's tracer does, sees every call.  A table that held the
+        function objects themselves would bypass the wrappers."""
+        import boxdet.det_methods as dm
+
+        calls = []
+
+        def recording(name):
+            real = getattr(dm, "det_" + name)
+
+            def wrapper(*args):
+                calls.append((name, args))
+                return real(*args)
+
+            return wrapper
+
+        for name in METHOD_NAMES:
+            monkeypatch.setattr(dm, "det_" + name, recording(name))
+        report = verify_all(2, 3, ceiling=7, block_ceiling=9)
+        assert calls == [
+            ("direct", (2, 3, 7)),
+            ("block", (2, 3, 9)),
+            ("resultant", (2, 3)),
+            ("closed_form", (2, 3)),
+        ]
+        assert report.results() == dict.fromkeys(METHOD_NAMES, -1)
+        calls.clear()
+        report = verify_all(2, 3, methods={"closed_form"})
+        assert calls == [("closed_form", (2, 3))]
+        assert report.results() == {"closed_form": -1}
 
 
 class TestReportValidation:

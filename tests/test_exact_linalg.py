@@ -15,6 +15,7 @@ from _oracles import (
     IntMatrix,
     add_rows,
     adjacency_matrix,
+    box_product_by_definition,
     cofactor_det,
     dense_bareiss,
     dense_bareiss_det,
@@ -27,7 +28,7 @@ from _oracles import (
 )
 from boxdet.det_methods import DEFAULT_DIRECT_CEILING, det_closed_form, det_direct
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.graphs import box_product, path
+from boxdet.graphs import path
 from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, resultant
 
 
@@ -157,7 +158,7 @@ class TestDeterminants:
         assert bareiss_band_det(dense_rows(four_cycle)) == 0
         assert cofactor_det(four_cycle) == 0
         assert cofactor_det(IntMatrix([[-1]])) == -1
-        two_by_three_grid = adjacency_matrix(box_product(path(2), path(3)))
+        two_by_three_grid = adjacency_matrix(box_product_by_definition(path(2), path(3)))
         assert cofactor_det(two_by_three_grid) == -1
 
     def test_zero_pivot_needs_row_swap(self):
