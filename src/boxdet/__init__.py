@@ -25,7 +25,6 @@ from .det_methods import (
     identity_suite,
     verify_all,
 )
-from .graphs import Graph, path
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 __version__ = "1.0.0"
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_BLOCK_CEILING",
     "DEFAULT_DIRECT_CEILING",
     "DetReport",
-    "Graph",
     "IdentityReport",
     "IntPoly",
     "SizeLimitError",
@@ -50,7 +48,6 @@ __all__ = [
     "det_direct",
     "det_resultant",
     "identity_suite",
-    "path",
     "path_charpoly",
     "pseudo_rem",
     "resultant",

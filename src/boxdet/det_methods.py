@@ -3,8 +3,8 @@ algebraic identity suite that justifies them.
 
 The routes, for the grid graph P_n box P_m:
 
-* direct: 2-colour the grid from its neighbour lists, built from the two
-  paths' edges; the determinant is 0 when the colour classes differ in
+* direct: 2-colour the grid from its neighbour lists, built from its
+  definition; the determinant is 0 when the colour classes differ in
   size, and (-1)**k det(C)**2 when both have k vertices, with C the
   biadjacency matrix.  C's band, of width about min(n, m)/2, is built from
   those lists and eliminated inside over unit pivots, at most about
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
-from .graphs import biadjacency_band, box_neighbours, path
+from .graphs import biadjacency_band, grid_neighbours
 from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
@@ -161,26 +161,26 @@ def _bipartite_det(k0: int, k1: int, det_squared: Callable[[], int]) -> int:
 def det_direct(n: int, m: int, ceiling: int = DEFAULT_DIRECT_CEILING) -> int:
     """Determinant of the grid adjacency matrix, from the band of its
     biadjacency matrix C, assembled literally from the grid's edges: each
-    vertex's neighbours, listed straight from the two paths' edges
-    (:func:`~boxdet.graphs.box_neighbours`), with no Graph of the grid.
+    vertex's neighbours, listed straight from the grid's definition
+    (:func:`~boxdet.graphs.grid_neighbours`).
 
     The grid is bipartite, so in colour-class order its adjacency matrix is
     [[0, C], [C^T, 0]]: singular when the classes differ in size (odd nm),
     and of determinant (-1)**k det(C)**2 when both have k vertices, with
     det(C) by elimination over pivots of +1 and -1, which raises
-    ValueError on any other (:func:`_bipartite_det`).  The longer
-    path is the outer factor, so vertex (i, j) of the grid gets label
-    (i-1)*min(n, m) + j and C, its classes numbered in label order, has
-    bandwidth about min(n, m)/2.
-    Swapping the factors only relabels vertices, a permutation similarity,
-    so the determinant is unchanged.
+    ValueError on any other (:func:`_bipartite_det`).  The shorter side
+    varies fastest, so vertex (i, j) of the grid, i along the longer side,
+    gets label (i-1)*min(n, m) + j and C, its classes numbered in label
+    order, has bandwidth about min(n, m)/2.
+    Swapping n and m only relabels vertices, a permutation similarity, so
+    the determinant is unchanged.
     """
     _require_positive(n=n, m=m)
     if n * m > ceiling:
         raise SizeLimitError(
             f"matrix size {n * m} exceeds the direct-method ceiling of {ceiling}"
         )
-    k0, k1, rows = biadjacency_band(box_neighbours(path(max(n, m)), path(min(n, m))))
+    k0, k1, rows = biadjacency_band(grid_neighbours(max(n, m), min(n, m)))
     return _bipartite_det(k0, k1, lambda: bareiss_band_det(rows) ** 2)
 
 

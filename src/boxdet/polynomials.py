@@ -78,9 +78,6 @@ class IntPoly(FrozenRecord):
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             other = IntPoly((other,))
@@ -91,9 +88,6 @@ class IntPoly(FrozenRecord):
         for i, c in enumerate(b):
             diff[i] -= c
         return IntPoly(tuple(diff))
-
-    def __rsub__(self, other: "IntPoly | int") -> "IntPoly":
-        return (-self) + other
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):

@@ -23,9 +23,11 @@ The oracles share no code with the library paths they check:
 * det(H)**2 of an interval matrix H, whose rows are runs of ones, comes
   from expanding the runs into a dense H and eliminating it densely (the
   check on the block method's union-find over the runs' ends);
+* a graph is a vertex count and a validated frozenset of edges, and a path
+  is such a graph;
 * a box product's edges come from its definition, tested on every pair of
-  product vertices (the check on the neighbour lists built from the two
-  factors' edges);
+  product vertices (the check on the grid's neighbour lists built from n
+  and m);
 * a graph's neighbour lists are read off its edges and sorted, the input
   of the breadth-first colouring;
 * a graph's dense adjacency matrix is written from its edges, and a
@@ -46,7 +48,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, sub
 
-from boxdet.graphs import Graph
+from boxdet._record import FrozenRecord
 from boxdet.polynomials import ONE, ZERO, IntPoly
 
 COFACTOR_SIZE_LIMIT = 10
@@ -129,6 +131,44 @@ def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
     if f.degree + g.degree == 0:
         return 1
     return dense_bareiss_det(sylvester_matrix(f, g))
+
+
+class Graph(FrozenRecord):
+    """Undirected simple graph: a vertex count and a set of unordered edges.
+
+    Any iterable of pairs is stored as a frozenset of (u, v) pairs with
+    u < v; loops and out-of-range endpoints are rejected at construction.
+    """
+
+    __slots__ = ("n_vertices", "edges")
+
+    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        n = n_vertices
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        # Validate and normalise in one pass; unpacking rejects any edge
+        # that is not a pair.
+        edges = frozenset(
+            (u, v) if 0 < u < v <= n else (v, u) if 0 < v < u <= n else _reject(u, v, n)
+            for u, v in edges
+        )
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "edges", edges)
+
+
+def _reject(u: int, v: int, n: int):
+    """Raise the ValueError for an edge that :class:`Graph` refuses; it
+    never returns."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    raise ValueError(f"edge ({u}, {v}) is outside 1..{n}")
+
+
+def path(n: int) -> Graph:
+    """The path on vertices 1..n with edges between consecutive integers."""
+    if n < 1:
+        raise ValueError(f"a path needs at least one vertex, got {n}")
+    return Graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:

@@ -18,6 +18,7 @@ from _oracles import (
     cofactor_det,
     dense_bareiss_det,
     parity,
+    path,
     random_matrix,
     sylvester_matrix,
 )
@@ -30,7 +31,6 @@ from boxdet.det_methods import (
     det_resultant,
     identity_suite,
 )
-from boxdet.graphs import path
 from boxdet.polynomials import path_charpoly, resultant
 
 TIMING = re.compile(r"\[\d+\.\d{3} ms\]")

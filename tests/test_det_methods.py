@@ -24,6 +24,7 @@ from _oracles import (
     grid_eigenvalue_product,
     matpoly_eval,
     parity_half,
+    path,
     recurrence_block_matrices,
     repeated_power,
     scale_rows,
@@ -56,7 +57,6 @@ from boxdet.det_methods import (
     verify_all,
 )
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.graphs import path
 from boxdet.polynomials import ONE, IntPoly, path_charpoly, resultant
 
 
@@ -373,30 +373,23 @@ class TestDirectBand:
                 det_direct(n, m)
                 assert sizes == ([] if n * m % 2 else [n * m // 2]), (n, m)
 
-    def test_builds_only_the_two_paths(self, monkeypatch):
-        """direct reads the grid as neighbour lists built from the two
-        paths' edges: it calls no box_product and constructs no Graph but
-        the two paths, none of n*m vertices."""
+    def test_builds_the_grid_once_from_n_and_m(self, monkeypatch):
+        """direct assembles the grid once, as neighbour lists built from
+        the two side lengths, the longer one giving the rows."""
         import boxdet.det_methods as dm
         import boxdet.graphs as graphs
 
-        built = []
-        real_init = graphs.Graph.__init__
+        calls = []
 
-        def init(self, n_vertices, edges=()):
-            built.append(n_vertices)
-            real_init(self, n_vertices, edges)
+        def spy(n, m):
+            calls.append((n, m))
+            return graphs.grid_neighbours(n, m)
 
-        def no_box_product(g, h):
-            raise AssertionError("det_direct called box_product")
-
-        monkeypatch.setattr(graphs.Graph, "__init__", init)
-        for module in (graphs, dm):
-            monkeypatch.setattr(module, "box_product", no_box_product, raising=False)
+        monkeypatch.setattr(dm, "grid_neighbours", spy)
         for n, m in ((1, 7), (7, 1), (4, 5), (5, 4), (19, 21), (20, 20)):
-            built.clear()
+            calls.clear()
             assert det_direct(n, m) == det_closed_form(n, m), (n, m)
-            assert sorted(built) == sorted((n, m)), (n, m)
+            assert calls == [(max(n, m), min(n, m))], (n, m)
 
 
 def _squared(p: IntPoly) -> IntPoly:

@@ -22,13 +22,13 @@ from _oracles import (
     identity_rows,
     matpoly_eval,
     mul_rows,
+    path,
     random_matrix,
     scale_rows,
     sylvester_matrix,
 )
 from boxdet.det_methods import DEFAULT_DIRECT_CEILING, det_closed_form, det_direct
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.graphs import path
 from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, resultant
 
 

@@ -1,20 +1,23 @@
-"""Graph layer: paths, box products and their neighbour lists, adjacency
-matrices and biadjacency bands."""
+"""Graph layer: the grid's neighbour lists and biadjacency bands, and the
+test-only graphs, paths, box products and adjacency matrices they are
+checked against."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (
+    Graph,
     IntMatrix,
     adjacency_matrix,
     box_product_by_definition,
     dense_bareiss_det,
     dense_biadjacency_band,
     neighbour_lists,
+    path,
 )
-from boxdet.graphs import Graph, biadjacency_band, box_neighbours, path
+from boxdet.graphs import biadjacency_band, grid_neighbours
 
 
 class TestGraph:
@@ -70,12 +73,12 @@ class TestPath:
 
 
 class TestBoxProduct:
-    """The box product's neighbour lists, as :func:`box_neighbours` gives
-    them, in increasing order."""
+    """The grid's neighbour lists, as :func:`grid_neighbours` gives them, in
+    increasing order."""
 
     @staticmethod
     def lists(n: int, m: int) -> list[list[int]]:
-        return [sorted(row) for row in box_neighbours(path(n), path(m))]
+        return [sorted(row) for row in grid_neighbours(n, m)]
 
     def test_two_by_two_is_the_four_cycle(self):
         four_cycle = Graph(4, frozenset({(1, 2), (3, 4), (1, 3), (2, 4)}))
@@ -90,12 +93,12 @@ class TestBoxProduct:
     def test_edge_count_law(self):
         for n in range(1, 7):
             for m in range(1, 7):
-                neighbours = box_neighbours(path(n), path(m))
+                neighbours = grid_neighbours(n, m)
                 assert len(neighbours) == n * m + 1
                 assert sum(map(len, neighbours)) == 2 * (n * (m - 1) + m * (n - 1))
 
     def test_three_by_four_size(self):
-        neighbours = box_neighbours(path(3), path(4))
+        neighbours = grid_neighbours(3, 4)
         assert len(neighbours) == 12 + 1
         assert sum(map(len, neighbours)) == 2 * 17
 
@@ -104,39 +107,21 @@ class TestBoxProduct:
         assert self.lists(4, 1) == neighbour_lists(path(4))
 
 
-@st.composite
-def small_graphs(draw) -> Graph:
-    """A graph on 1 to 5 vertices with a random set of edges, so loose
-    vertices, several components and odd cycles all appear."""
-    n = draw(st.integers(1, 5))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph(n, edges)
-
-
 class TestBoxNeighbours:
-    @settings(max_examples=300)
-    @given(small_graphs(), small_graphs())
-    def test_product_of_any_two_graphs_is_the_definition(self, g, h):
-        """The lists hold each product edge of the definition once at each
-        end, symmetric and with no duplicates."""
-        expected = box_product_by_definition(g, h)
-        neighbours = box_neighbours(g, h)
-        assert len(neighbours) == expected.n_vertices + 1
-        assert neighbours[0] == []
-        for u, row in enumerate(neighbours):
-            assert len(row) == len(set(row)), (u, row)
-            for v in row:
-                assert u in neighbours[v], (u, v)
-        edges = {(u, v) for u, row in enumerate(neighbours) for v in row if u < v}
-        assert edges == expected.edges
-
     def test_grids_are_the_definition(self):
-        for n in range(1, 8):
-            for m in range(1, 8):
-                g = box_product_by_definition(path(n), path(m))
-                neighbours = box_neighbours(path(n), path(m))
-                assert [sorted(row) for row in neighbours] == neighbour_lists(g), (n, m)
+        """Every grid up to 12 x 12, the two 400-vertex paths and the 20 x 20
+        grid: the lists hold each edge of the box product's definition
+        once at each end, symmetric and with no duplicates."""
+        shapes = [(n, m) for n in range(1, 13) for m in range(1, 13)]
+        for n, m in shapes + [(1, 400), (400, 1), (20, 20)]:
+            neighbours = grid_neighbours(n, m)
+            assert neighbours[0] == [], (n, m)
+            for u, row in enumerate(neighbours):
+                assert len(row) == len(set(row)), (n, m, u, row)
+                for v in row:
+                    assert u in neighbours[v], (n, m, u, v)
+            expected = neighbour_lists(box_product_by_definition(path(n), path(m)))
+            assert [sorted(row) for row in neighbours] == expected, (n, m)
 
 
 class TestAdjacencyMatrix:

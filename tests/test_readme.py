@@ -20,7 +20,6 @@ PUBLIC_API = [
     "DEFAULT_BLOCK_CEILING",
     "DEFAULT_DIRECT_CEILING",
     "DetReport",
-    "Graph",
     "IdentityReport",
     "IntPoly",
     "SizeLimitError",
@@ -36,7 +35,6 @@ PUBLIC_API = [
     "det_direct",
     "det_resultant",
     "identity_suite",
-    "path",
     "path_charpoly",
     "pseudo_rem",
     "resultant",
@@ -66,10 +64,12 @@ def test_public_api():
     for module in (boxdet, boxdet.exact_linalg, boxdet.graphs, boxdet.polynomials):
         for name in ORACLE_NAMES:
             assert not hasattr(module, name), (module.__name__, name)
-    # The Graph of a box product was test-only code; the tests build it
-    # from its definition in tests/_oracles.py.
+    # Graphs, paths and box products of any two graphs were test-only
+    # code; the tests build them in tests/_oracles.py, and direct builds
+    # its grid from n and m.
     for module in (boxdet, boxdet.graphs):
-        assert not hasattr(module, "box_product"), module.__name__
+        for name in ("Graph", "path", "box_product", "box_neighbours"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_library_example_runs():

@@ -1,4 +1,5 @@
-"""The four frozen record types, and the modules the command line loads."""
+"""The package's three frozen record types and the tests' Graph, built on
+the same base, and the modules the command line loads."""
 from __future__ import annotations
 
 import copy
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import Graph
 from boxdet.det_methods import DetReport, IdentityReport
-from boxdet.graphs import Graph
 from boxdet.polynomials import IntPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
