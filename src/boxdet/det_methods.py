@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
 from .graphs import biadjacency_band, grid_neighbours
-from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
+from .polynomials import IntPoly, _rem, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
 DEFAULT_BLOCK_CEILING = 60
@@ -55,12 +55,7 @@ METHODS = (
 METHOD_NAMES = tuple(name for name, _, _ in METHODS)
 
 IDENTITY_NAMES = (
-    "splitting",
-    "shift",
-    "annihilation",
-    "power",
-    "product_n_plus_1",
-    "symmetry",
+    "splitting", "shift", "annihilation", "power", "product_n_plus_1", "symmetry"
 )
 
 
@@ -137,9 +132,8 @@ class IdentityReport(FrozenRecord):
     ) -> None:
         if identity not in IDENTITY_NAMES:
             raise ValueError(f"unknown identity name: {identity}")
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "witness", witness)
+        for name, value in zip(self.__slots__, (identity, params, witness)):
+            object.__setattr__(self, name, value)
 
     @property
     def passed(self) -> bool:
@@ -336,7 +330,6 @@ def verify_all(
 
 
 # --- identity checks -------------------------------------------------------
-#
 # Each check returns an IdentityReport rather than asserting, so suite
 # runners can collect failures with their witnesses.
 
@@ -345,21 +338,20 @@ def check_splitting(k: int) -> IdentityReport:
     """q_k = q_i * q_{k-i} - q_{i-1} * q_{k-i-1} for every i in 1..k-1,
     as an exact polynomial identity (vacuous for k = 1)."""
     _require_positive(k=k)
-    lhs = path_charpoly(k)
+    q = path_charpoly
+    lhs = q(k)
     for i in range(1, k):
-        rhs = path_charpoly(i) * path_charpoly(k - i) - path_charpoly(
-            i - 1
-        ) * path_charpoly(k - i - 1)
+        rhs = q(i) * q(k - i) - q(i - 1) * q(k - i - 1)
         if lhs != rhs:
             return IdentityReport("splitting", {"k": k, "i": i}, lhs - rhs)
     return IdentityReport("splitting", {"k": k})
 
 
-def _residue_report(identity: str, params: dict, a: IntPoly) -> IdentityReport:
-    """Whether q_k divides a, for k = params["k"]; the remainder is the
-    witness of a failure."""
-    residue = pseudo_rem(a, path_charpoly(params["k"]))
-    return IdentityReport(identity, params, None if residue.is_zero else residue)
+def _residue_report(identity: str, params: dict, a: Sequence[int]) -> IdentityReport:
+    """Whether q_k divides the polynomial of coefficient list a, for
+    k = params["k"]; only a failure's remainder, its witness, is an IntPoly."""
+    residue = _rem(a, path_charpoly(params["k"]).coeffs)
+    return IdentityReport(identity, params, IntPoly(residue) if residue else None)
 
 
 def check_shift(k: int, s: int) -> IdentityReport:
@@ -368,36 +360,40 @@ def check_shift(k: int, s: int) -> IdentityReport:
     _require_positive(k=k)
     if not 0 <= s <= k:
         raise ValueError(f"shift must satisfy 0 <= s <= k, got s={s}, k={k}")
-    return _residue_report(
-        "shift", {"k": k, "s": s}, path_charpoly(k + s) + path_charpoly(k - s)
-    )
+    r = list(path_charpoly(k + s).coeffs)
+    for i, c in enumerate(path_charpoly(k - s).coeffs):
+        r[i] += c
+    return _residue_report("shift", {"k": k, "s": s}, r)
 
 
 def check_annihilation(k: int, t: int) -> IdentityReport:
     """q_{t(k+1)-1} vanishes at every root of q_k; checked as divisibility."""
     _require_positive(k=k, t=t)
     return _residue_report(
-        "annihilation", {"k": k, "t": t}, path_charpoly(t * (k + 1) - 1)
+        "annihilation", {"k": k, "t": t}, path_charpoly(t * (k + 1) - 1).coeffs
     )
 
 
 def check_power(k: int, a: int, b: int) -> IdentityReport:
     """At every root of q_k, q_{a(k+1)+b} = q_{k+1}**a * q_b; checked as
-    q_k dividing the difference.
-
-    The power comes already reduced modulo q_k (:func:`_path_power`), so
-    the product subtracted has degree below 2k, not a(k+1)+b.  q_k divides
-    what the reduction drops, so the residue, and any witness, is the
-    remainder of the unreduced difference.  q_{a(k+1)+b} is divided in full.
-    """
+    q_k dividing the difference, built in a copy of q_{a(k+1)+b}'s
+    coefficients, padded if shorter, and divided in full.  The power comes
+    already reduced modulo q_k (:func:`_path_power`), so the product
+    subtracted has degree below 2k; q_k divides what the reduction drops,
+    so the residue, and any witness, is the remainder of the unreduced
+    difference."""
     _require_positive(k=k, a=a)
     if not 0 <= b <= k:
         raise ValueError(f"offset must satisfy 0 <= b <= k, got b={b}, k={k}")
-    return _residue_report(
-        "power",
-        {"k": k, "a": a, "b": b},
-        path_charpoly(a * (k + 1) + b) - _path_power(k + 1, a) * path_charpoly(b),
-    )
+    r = list(path_charpoly(a * (k + 1) + b).coeffs)
+    power, q_b = _path_power(k + 1, a).coeffs, path_charpoly(b).coeffs
+    r += [0] * (len(power) + len(q_b) - 1 - len(r))
+    terms = [(j, d) for j, d in enumerate(q_b) if d]
+    for i, c in enumerate(power):
+        if c:
+            for j, d in terms:
+                r[i + j] -= c * d
+    return _residue_report("power", {"k": k, "a": a, "b": b}, r)
 
 
 @lru_cache(maxsize=4)
@@ -428,11 +424,11 @@ def check_symmetry(n: int, m: int) -> IdentityReport:
     det_resultant squares Res(F_n, F_m), so this check cannot see the sign
     that swapping the arguments of a resultant brings; the argument-swap
     test of ``resultant`` in test_polynomials covers that sign."""
-    _require_positive(n=n, m=m)
-    forward = det_resultant(n, m)
-    backward = det_resultant(m, n)
-    witness = None if forward == backward else forward - backward
-    return IdentityReport("symmetry", {"n": n, "m": m}, witness)
+    return _symmetry_report(n, m, det_resultant(n, m), det_resultant(m, n))
+
+
+def _symmetry_report(n: int, m: int, forward: int, backward: int) -> IdentityReport:
+    return IdentityReport("symmetry", {"n": n, "m": m}, forward - backward or None)
 
 
 # The default size bound of each family, in IDENTITY_NAMES order, and the
@@ -450,12 +446,15 @@ def identity_suite(max_k: int | None = None) -> list[IdentityReport]:
     ``boxdet identities --max-k`` does; by default each family has its own
     bound from SUITE_MAX_K.  t runs over MULTIPLIERS and a over EXPONENTS.
     A bound below 1 is rejected, since it would pass an empty suite.
+    Symmetry reads each det_resultant(n, m) once, from a table for this call.
     """
     if max_k is not None:
         _require_positive(max_k=max_k)
     split, shift, annih, power, prod, sym = (
         SUITE_MAX_K if max_k is None else (max_k,) * len(SUITE_MAX_K)
     )
+    sizes = range(1, sym + 1)
+    products = {(n, m): det_resultant(n, m) for n in sizes for m in sizes}
     return [
         *(check_splitting(k) for k in range(1, split + 1)),
         *(check_shift(k, s) for k in range(1, shift + 1) for s in range(k + 1)),
@@ -467,5 +466,5 @@ def identity_suite(max_k: int | None = None) -> list[IdentityReport]:
             for b in range(k + 1)
         ),
         *(check_product_n_plus_1(n) for n in range(1, prod + 1)),
-        *(check_symmetry(n, m) for n in range(1, sym + 1) for m in range(1, sym + 1)),
+        *(_symmetry_report(n, m, d, products[m, n]) for (n, m), d in products.items()),
     ]

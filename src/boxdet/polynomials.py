@@ -21,6 +21,23 @@ path polynomial is: :func:`pseudo_rem` returns such a remainder, and
 a remainder led by anything else.  Both rest on ``_rem``, which rejects
 such a divisor, negates one led by -1 once and then walks only its nonzero
 terms, about half of a path polynomial's.
+
+Why path polynomials keep that contract is argued for halves of equal
+parity.  Write q_k(x) = x**(k % 2) * F_k(x**2), with q_{-1} = 0, so
+F_{-1} = 0.  Modulo q_s the q_j follow the recurrence, and the shift
+identity q_{s+t} = -q_{s-t} (mod q_s), 0 <= t <= s, gives q_{2s} = -1
+and q_{2s-1} = x, so q_{2s+1} = 0 and q_{2s+2} = 1: the starting pair
+(q_{-1}, q_0) again, and q_l mod q_s has period 2(s+1) in l.  For
+l >= s of equal parity and k = l mod 2(s+1), that fold and the shift
+identity give F_l mod F_s = +F_k when k <= s and -F_{2s-k} otherwise,
+which is 0 when that index is s or -1; q_s divides x**p * G(x**2), for
+p = s % 2, exactly when F_s divides G, and F_j for j < s of the same
+parity has lower degree than F_s.  So each remainder of :func:`resultant`
+on two halves of equal parity is, up to sign, a half of that parity led
+by +1 or -1, the next divisor.  The mixed case is only observed.  The
+rule stays in documentation and tests: picking the index by it would
+compute the gcd of the indices, the closed form's route, and
+:func:`resultant` would no longer check anything independently.
 """
 from __future__ import annotations
 

@@ -57,7 +57,7 @@ from boxdet.det_methods import (
     verify_all,
 )
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.polynomials import ONE, IntPoly, path_charpoly, resultant
+from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, pseudo_rem, resultant
 
 
 class TestFrozenValues:
@@ -472,6 +472,23 @@ class TestResultantHalves:
                 assert all(r in halves for r in seen if r), (n, m)
                 count += sum(map(bool, seen))
         assert count > 1000
+
+    def test_same_parity_remainder_is_the_half_the_fold_names(self):
+        """For l >= s of equal parity and k = l mod 2(s+1), F_l mod F_s is
+        +F_k when k <= s and -F_{2s-k} otherwise, 0 when that index is s
+        or -1 (F_{-1} = 0): the rule argued in the polynomials module from
+        the shift identity and the period 2(s+1).  Asserted here only; no
+        code path picks the index."""
+        halves = {j: _square_half(j) for j in range(160)}
+        count = 0
+        for s in range(1, 40):
+            for l in range(s, 160, 2):
+                k = l % (2 * (s + 1))
+                sign, j = (1, k) if k <= s else (-1, 2 * s - k)
+                named = ZERO if j in (s, -1) else halves[j] * sign
+                assert pseudo_rem(halves[l], halves[s]) == named, (l, s)
+                count += 1
+        assert count == sum(len(range(s, 160, 2)) for s in range(1, 40))
 
     def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
         import boxdet.det_methods as dm
@@ -894,6 +911,120 @@ class TestIdentitySuite:
         for k in range(1, 21):
             for a in range(1, 5):
                 assert _path_power(k + 1, a).degree < k, (k, a)
+
+    @pytest.mark.parametrize("k", (1, 5, 12))
+    def test_one_root_product_per_ordered_pair(self, monkeypatch, k):
+        """identity_suite(k) computes det_resultant once for each ordered
+        pair (n, m), n, m <= k; check_symmetry alone still makes two calls."""
+        import boxdet.det_methods as dm
+
+        calls = []
+
+        def spy(n: int, m: int) -> int:
+            calls.append((n, m))
+            return det_resultant(n, m)
+
+        monkeypatch.setattr(dm, "det_resultant", spy)
+        identity_suite(k)
+        assert len(calls) == k * k
+        assert sorted(calls) == list(itertools.product(range(1, k + 1), repeat=2))
+        calls.clear()
+        check_symmetry(3, 5)
+        assert calls == [(3, 5), (5, 3)]
+
+    def test_suite_symmetry_reports_are_check_symmetry(self):
+        reports = [r for r in identity_suite(12) if r.identity == "symmetry"]
+        assert reports == [
+            check_symmetry(n, m) for n in range(1, 13) for m in range(1, 13)
+        ]
+
+    def test_symmetry_witness_survives_a_fault(self, monkeypatch):
+        """With det_resultant off by 7 at (4, 7) only, the suite and
+        check_symmetry both report forward - backward there and its
+        negative at (7, 4), and pass every other pair."""
+        import boxdet.det_methods as dm
+
+        def faulty(n: int, m: int) -> int:
+            return det_resultant(n, m) + (7 if (n, m) == (4, 7) else 0)
+
+        monkeypatch.setattr(dm, "det_resultant", faulty)
+        witness = faulty(4, 7) - faulty(7, 4)
+        assert witness == 7
+        expected = {(4, 7): witness, (7, 4): -witness}
+        suite = [r for r in identity_suite(8) if r.identity == "symmetry"]
+        assert {(r.params["n"], r.params["m"]): r.witness for r in suite} == {
+            (n, m): expected.get((n, m)) for n in range(1, 9) for m in range(1, 9)
+        }
+        assert check_symmetry(4, 7).witness == witness
+        assert check_symmetry(7, 4).witness == -witness
+        assert check_symmetry(4, 4).passed
+
+    def test_shift_and_annihilation_witnesses_survive_a_fault(self, monkeypatch):
+        """With the dividend q_29 and the divisor q_11 perturbed below their
+        leading terms, every shift and annihilation check with k <= 25 carries
+        the remainder of its unreduced dividend, q_{k+s} + q_{k-s} or
+        q_{t(k+1)-1}, by the dense oracle: a witness when it is nonzero, and
+        a pass when it is zero."""
+        import boxdet.det_methods as dm
+
+        faults = {29: 3 * X**7 + 1, 11: X**4 - 2 * X}
+
+        def faulty(k: int) -> IntPoly:
+            return path_charpoly(k) + faults.get(k, 0)
+
+        monkeypatch.setattr(dm, "path_charpoly", faulty)
+        failed = set()
+        for k in range(1, 26):
+            for s in range(k + 1):
+                report = check_shift(k, s)
+                dividend = faulty(k + s) + faulty(k - s)
+                assert report.witness == _dense_residue(dividend, faulty(k)), (k, s)
+                if not report.passed:
+                    failed.add(("shift", k, k + s))
+            for t in range(1, 6):
+                report = check_annihilation(k, t)
+                dividend = faulty(t * (k + 1) - 1)
+                assert report.witness == _dense_residue(dividend, faulty(k)), (k, t)
+                if not report.passed:
+                    failed.add(("annihilation", k, t * (k + 1) - 1))
+        for family in ("shift", "annihilation"):
+            assert any(f == family and k == 11 for f, k, _ in failed), family
+            assert any(f == family and j == 29 for f, _, j in failed), family
+
+    def test_power_witness_of_a_dividend_shorter_than_the_product(
+        self, monkeypatch
+    ):
+        """With q_30 cut to its terms below x**19, the dividend of
+        check_power(k, 1, 29 - k) for k >= 15 is shorter than the product
+        subtracted from it, of degree 28, so the list is padded; every
+        power check with k <= 25 still carries the remainder of the
+        unreduced difference by the dense oracle."""
+        import boxdet.det_methods as dm
+
+        cut = IntPoly(path_charpoly(30).coeffs[:19])
+
+        def faulty(k: int) -> IntPoly:
+            return cut if k == 30 else path_charpoly(k)
+
+        monkeypatch.setattr(dm, "path_charpoly", faulty)
+        _path_power.cache_clear()
+        padded = 0
+        try:
+            for k in range(1, 26):
+                for a in range(1, 5):
+                    for b in range(k + 1):
+                        report = check_power(k, a, b)
+                        product = convolve(repeated_power(faulty(k + 1), a), faulty(b))
+                        difference = faulty(a * (k + 1) + b) - product
+                        expected = _dense_residue(difference, faulty(k))
+                        assert report.witness == expected, (k, a, b)
+                        # The reduced power has degree k - 1, below q_{k+1}**a.
+                        if faulty(a * (k + 1) + b).degree < k - 1 + b:
+                            padded += 1
+                            assert not report.passed, (k, a, b)
+        finally:
+            _path_power.cache_clear()
+        assert padded == 11
 
     def test_power_witnesses_survive_a_fault(self, monkeypatch):
         """With one dividend q_40 and one q_{k+1} = q_13 perturbed below their
