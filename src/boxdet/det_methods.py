@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
@@ -238,13 +239,34 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     return _bipartite_det(k0, k1, lambda: _runs_det_squared(block_runs(n, m), m // 2))
 
 
+# _square_half's memo: k -> (q_k, F_k), least recently used first.
+_halves: OrderedDict[int, tuple[IntPoly, IntPoly]] = OrderedDict()
+_HALVES_MAX = 256
+
+
 def _square_half(k: int) -> IntPoly:
     """F_k with q_k(x) = x**(k % 2) * F_k(x**2), of degree k // 2, read off
-    q_k's coefficients; raises if one of the other parity is nonzero."""
-    coeffs = path_charpoly(k).coeffs
+    q_k's coefficients; raises if one of the other parity is nonzero.
+
+    The _HALVES_MAX most recently used halves are kept, as path_charpoly
+    keeps its q_k, each with the q_k object it came from, and one is
+    reused only while path_charpoly(k) is that same object, so a rebound
+    or recomputed path_charpoly is never answered from a half built
+    before it.  A half shares q_k's coefficient objects; it copies none."""
+    q = path_charpoly(k)
+    entry = _halves.get(k)
+    if entry is not None and entry[0] is q:
+        _halves.move_to_end(k)
+        return entry[1]
+    coeffs = q.coeffs
     if any(coeffs[1 - k % 2 :: 2]):
         raise ArithmeticError(f"q_{k} is not x**{k % 2} times a polynomial in x**2")
-    return IntPoly(coeffs[k % 2 :: 2])
+    half = IntPoly(coeffs[k % 2 :: 2])
+    _halves[k] = (q, half)
+    _halves.move_to_end(k)
+    if len(_halves) > _HALVES_MAX:
+        _halves.popitem(last=False)
+    return half
 
 
 def det_resultant(n: int, m: int) -> int:
@@ -399,9 +421,15 @@ def check_power(k: int, a: int, b: int) -> IdentityReport:
 @lru_cache(maxsize=4)
 def _path_power(k: int, a: int) -> IntPoly:
     """q_k**a modulo q_{k-1}, of degree below k - 1: the power that
-    check_power(k - 1, a, b) needs once per offset b.  identity_suite runs
-    b innermost, so the few most recent powers are all it keeps."""
-    return pseudo_rem(path_charpoly(k) ** a, path_charpoly(k - 1))
+    check_power(k - 1, a, b) needs once per offset b.  Built as
+    _path_power(k, a - 1) times the base q_k mod q_{k-1}, reduced again, so
+    no product reaches degree 2(k - 1).  identity_suite runs a upwards
+    and b innermost, so the base and the previous power are among the few
+    most recent, which are all the cache keeps."""
+    q_below = path_charpoly(k - 1)
+    if a == 1:
+        return pseudo_rem(path_charpoly(k), q_below)
+    return pseudo_rem(_path_power(k, a - 1) * _path_power(k, 1), q_below)
 
 
 def check_product_n_plus_1(n: int) -> IdentityReport:

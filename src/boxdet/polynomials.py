@@ -20,7 +20,10 @@ path polynomial is: :func:`pseudo_rem` returns such a remainder, and
 :func:`resultant` runs Euclid's algorithm over them, raising ValueError on
 a remainder led by anything else.  Both rest on ``_rem``, which rejects
 such a divisor, negates one led by -1 once and then walks only its nonzero
-terms, about half of a path polynomial's.
+terms, about half of a path polynomial's.  It keeps that prepared form
+for the last tuple divisor, matched by identity, so the identity suite's
+many dividends by one q_k check and scan it once; a list is prepared on
+every call.
 
 Why path polynomials keep that contract is argued for halves of equal
 parity.  Write q_k(x) = x**(k % 2) * F_k(x**2), with q_{-1} = 0, so
@@ -183,6 +186,13 @@ def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(tuple(_rem(a.coeffs, b.coeffs)))
 
 
+# The last tuple divisor _rem saw, with its length less one and its terms
+# below the lead, negated when it is led by -1: (b, db, terms).  Matched by
+# identity, and held, so that no other tuple can take its id; a tuple cannot
+# change, so the prepared form stays right while it is held.
+_prepared: tuple = (None, 0, [])
+
+
 def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a mod b for ascending coefficient lists, b led by +1 or -1; any
     other lead raises ValueError.
@@ -190,14 +200,22 @@ def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     A divisor led by -1 is negated once, since the remainder by -b is the
     remainder by b.  Each step then subtracts only b's nonzero terms below
     its leading one; the top coefficient that term would cancel is dropped
-    at the end, with every column at or above deg b.
+    at the end, with every column at or above deg b.  The last tuple
+    divisor stays prepared; a list, which can change between calls, is
+    prepared on every call.
     """
-    if b[-1] not in (1, -1):
-        raise ValueError(f"divisor leading coefficient must be +1 or -1, got {b[-1]}")
-    if b[-1] == -1:
-        b = [-d for d in b]
-    db = len(b) - 1
-    terms = [(j, d) for j, d in enumerate(b[:-1]) if d]
+    global _prepared
+    last, db, terms = _prepared
+    if b is not last:
+        lead = b[-1]
+        if lead not in (1, -1):
+            raise ValueError(f"divisor leading coefficient must be +1 or -1, got {lead}")
+        db = len(b) - 1
+        terms = [(j, d) for j, d in enumerate(b[:-1]) if d]
+        if lead == -1:
+            terms = [(j, -d) for j, d in terms]
+        if type(b) is tuple:
+            _prepared = (b, db, terms)
     r = list(a)
     for top in range(len(r) - 1, db - 1, -1):
         lead = r[top]
@@ -206,7 +224,9 @@ def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, d in terms:
                 r[low + j] -= lead * d
     del r[db:]
-    while r and r[-1] == 0:
+    if not any(r):
+        return []
+    while r[-1] == 0:
         r.pop()
     return r
 

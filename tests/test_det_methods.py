@@ -4,6 +4,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import operator
 import time
 import tracemalloc
 
@@ -33,6 +34,7 @@ from _oracles import (
 )
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
+    EXPONENTS,
     IDENTITY_NAMES,
     METHOD_NAMES,
     METHODS,
@@ -491,11 +493,28 @@ class TestResultantHalves:
         assert count == sum(len(range(s, 160, 2)) for s in range(1, 40))
 
     def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
+        """Also when both halves are already kept: the memo answers only for
+        the q_k object it built from, and again once that one is back."""
         import boxdet.det_methods as dm
 
-        monkeypatch.setattr(dm, "path_charpoly", lambda k: path_charpoly(k) + X)
-        with pytest.raises(ArithmeticError):
-            det_resultant(4, 3)
+        f, g = _square_half(4), _square_half(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(dm, "path_charpoly", lambda k: path_charpoly(k) + X)
+            with pytest.raises(ArithmeticError):
+                det_resultant(4, 3)
+        assert _square_half(4) is f and _square_half(3) is g
+
+    def test_halves_memo_is_bounded_and_copies_no_coefficient(self):
+        import boxdet.det_methods as dm
+
+        for k in range(1, 301):
+            det_resultant(2, k)
+            assert len(dm._halves) <= dm._HALVES_MAX == 256, k
+        for k, (q, half) in list(dm._halves.items()):
+            assert all(map(operator.is_, half.coeffs, q.coeffs[k % 2 :: 2])), k
+        half = _square_half(300)
+        assert _square_half(300) is half
+        assert all(map(operator.is_, half.coeffs, path_charpoly(300).coeffs[::2]))
 
     @given(small_int_polys, small_int_polys)
     def test_resultant_of_polynomials_in_x_squared(self, f, g):
@@ -911,6 +930,30 @@ class TestIdentitySuite:
         for k in range(1, 21):
             for a in range(1, 5):
                 assert _path_power(k + 1, a).degree < k, (k, a)
+
+    def test_power_is_the_full_power_reduced(self):
+        """_path_power multiplies and reduces one factor at a time; the old
+        route, the full power reduced once, is the oracle."""
+        _path_power.cache_clear()
+        for k in range(1, 42):
+            for a in EXPONENTS:
+                full = pseudo_rem(path_charpoly(k) ** a, path_charpoly(k - 1))
+                assert _path_power(k, a) == full, (k, a)
+
+    def test_reports_repeat_in_one_process_and_after_every_cache_is_cleared(
+        self, monkeypatch
+    ):
+        import boxdet.det_methods as dm
+        import boxdet.polynomials as polynomials
+
+        first = identity_suite(20)
+        assert identity_suite(20) == first
+        path_charpoly.cache_clear()
+        _path_power.cache_clear()
+        dm._halves.clear()
+        monkeypatch.setattr(polynomials, "_prepared", (None, 0, []))
+        assert identity_suite(20) == first
+        assert all(r.passed for r in first)
 
     @pytest.mark.parametrize("k", (1, 5, 12))
     def test_one_root_product_per_ordered_pair(self, monkeypatch, k):

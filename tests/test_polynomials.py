@@ -315,6 +315,9 @@ class TestWindowedPrem:
         b = b_low + [b_lead]
         a = a_low + [0] * (len(b) - len(a_low)) + [0] * zero_top
         assert _rem(a, b) == dense_rem(a, b)
+        # As a tuple, b is prepared on the first call and kept for the second.
+        divisor = tuple(b)
+        assert _rem(a, divisor) == _rem(a, divisor) == dense_rem(a, b)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_path_divisors_and_their_halves(self, k):
@@ -335,6 +338,28 @@ class TestWindowedPrem:
                     a = [rng.randint(-99, 99) for _ in range(len(b) + extra)]
                     a += [0] * zero_top
                     assert _rem(a, b) == dense_rem(a, b)
+
+    def test_kept_tuple_divisor(self):
+        """_rem keeps its last tuple divisor prepared.  A dividend it divides
+        leaves [], one whose top terms cancel is trimmed as the dense oracle
+        says, a tuple led by 2 still raises right after a hit on another
+        tuple, and a list divisor changed between two calls is read anew."""
+        b = (-1, 0, 1)  # x**2 - 1
+        multiple = [-1, -1, 1, 1]  # (x**2 - 1)(x + 1)
+        near = [4, -1, 1, 1]  # (x**2 - 1)(x + 1) + 5
+        for _ in range(2):
+            assert _rem(multiple, b) == dense_prem(multiple, list(b)) == []
+            assert _rem(near, b) == dense_rem(near, list(b)) == [5]
+        q = path_charpoly(6).coeffs
+        a = list(range(1, 11))
+        assert _rem(a, q) == _rem(a, q) == dense_rem(a, list(q))
+        with pytest.raises(ValueError, match="got 2"):
+            _rem(a, (1, 0, 2))
+        assert _rem(a, q) == dense_rem(a, list(q))
+        divisor = [-1, 0, 1]
+        assert _rem([0, 0, 0, 1], divisor) == [0, 1]
+        divisor[0] = 1  # x**2 + 1
+        assert _rem([0, 0, 0, 1], divisor) == [0, -1]
 
 
 class TestResultant:
