@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
 from .graphs import biadjacency_band, grid_neighbours
-from .polynomials import IntPoly, _rem, path_charpoly, pseudo_rem, resultant
+from .polynomials import IntPoly, _rem, _resultant, path_charpoly, pseudo_rem, resultant
 
 DEFAULT_DIRECT_CEILING = 400
 DEFAULT_BLOCK_CEILING = 60
@@ -239,34 +238,17 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     return _bipartite_det(k0, k1, lambda: _runs_det_squared(block_runs(n, m), m // 2))
 
 
-# _square_half's memo: k -> (q_k, F_k), least recently used first.
-_halves: OrderedDict[int, tuple[IntPoly, IntPoly]] = OrderedDict()
-_HALVES_MAX = 256
-
-
-def _square_half(k: int) -> IntPoly:
-    """F_k with q_k(x) = x**(k % 2) * F_k(x**2), of degree k // 2, read off
-    q_k's coefficients; raises if one of the other parity is nonzero.
-
-    The _HALVES_MAX most recently used halves are kept, as path_charpoly
-    keeps its q_k, each with the q_k object it came from, and one is
-    reused only while path_charpoly(k) is that same object, so a rebound
-    or recomputed path_charpoly is never answered from a half built
-    before it.  A half shares q_k's coefficient objects; it copies none."""
-    q = path_charpoly(k)
-    entry = _halves.get(k)
-    if entry is not None and entry[0] is q:
-        _halves.move_to_end(k)
-        return entry[1]
-    coeffs = q.coeffs
+def _square_half(k: int) -> tuple[int, ...]:
+    """The coefficients of F_k, with q_k(x) = x**(k % 2) * F_k(x**2), of
+    degree k // 2, read off path_charpoly(k) on every call, looked up in
+    this module so that a patched one is seen; raises if one of the other
+    parity is nonzero.  The slice shares q_k's coefficient objects and
+    copies none, and path_charpoly's cache stays the only one holding path
+    polynomials."""
+    coeffs = path_charpoly(k).coeffs
     if any(coeffs[1 - k % 2 :: 2]):
         raise ArithmeticError(f"q_{k} is not x**{k % 2} times a polynomial in x**2")
-    half = IntPoly(coeffs[k % 2 :: 2])
-    _halves[k] = (q, half)
-    _halves.move_to_end(k)
-    if len(_halves) > _HALVES_MAX:
-        _halves.popitem(last=False)
-    return half
+    return coeffs[k % 2 :: 2]
 
 
 def det_resultant(n: int, m: int) -> int:
@@ -274,21 +256,23 @@ def det_resultant(n: int, m: int) -> int:
 
     Res(q_n, q_m) = lc(q_n)**m * prod q_m(root) and lc(q_n) = (-1)**n, so
     the determinant (the bare root product) is (-1)**(n*m) * Res(q_n, q_m).
-    The remainder sequence runs on the halves F_n, F_m of
-    :func:`_square_half`, by three facts that follow from
+    The remainder sequence (``polynomials._resultant``) runs on the
+    coefficient tuples of the halves F_n, F_m of :func:`_square_half`, by
+    three facts that follow from
     Res(f, g) = lc(f)**deg g * prod g(roots of f):
     Res(F(x**2), G(x**2)) = Res(F, G)**2, Res(x, g) = g(0) and
     Res(f, x) = (-1)**deg f * f(0).  For odd nm, x divides q_n and q_m and
     the value is 0.  Otherwise it is c * Res(F_n, F_m)**2, with c = q_m(0)
     for odd n, q_n(0) for odd m (deg q_n even), and 1 when both are even;
-    (-1)**(n*m) is then 1.
+    (-1)**(n*m) is then 1.  For even k, q_k(0) = F_k(0), the half's first
+    entry.
     """
     _require_positive(n=n, m=m)
     f, g = _square_half(n), _square_half(m)
     if n * m % 2:
         return 0
-    r = resultant(f, g)
-    c = g.coeffs[0] if n % 2 else f.coeffs[0] if m % 2 else 1
+    r = _resultant(f, g)
+    c = g[0] if n % 2 else f[0] if m % 2 else 1
     return c * r * r
 
 

@@ -25,19 +25,25 @@ for the last tuple divisor, matched by identity, so the identity suite's
 many dividends by one q_k check and scan it once; a list is prepared on
 every call.
 
-Why path polynomials keep that contract is argued for halves of equal
-parity.  Write q_k(x) = x**(k % 2) * F_k(x**2), with q_{-1} = 0, so
-F_{-1} = 0.  Modulo q_s the q_j follow the recurrence, and the shift
-identity q_{s+t} = -q_{s-t} (mod q_s), 0 <= t <= s, gives q_{2s} = -1
-and q_{2s-1} = x, so q_{2s+1} = 0 and q_{2s+2} = 1: the starting pair
-(q_{-1}, q_0) again, and q_l mod q_s has period 2(s+1) in l.  For
-l >= s of equal parity and k = l mod 2(s+1), that fold and the shift
-identity give F_l mod F_s = +F_k when k <= s and -F_{2s-k} otherwise,
-which is 0 when that index is s or -1; q_s divides x**p * G(x**2), for
-p = s % 2, exactly when F_s divides G, and F_j for j < s of the same
-parity has lower degree than F_s.  So each remainder of :func:`resultant`
-on two halves of equal parity is, up to sign, a half of that parity led
-by +1 or -1, the next divisor.  The mixed case is only observed.  The
+Path polynomials keep that contract, argued here for either parity.
+Write q_k(x) = x**(k % 2) * F_k(x**2), with q_{-1} = 0, so F_{-1} = 0.
+Modulo q_s the q_j follow the recurrence, and the shift identity
+q_{s+t} = -q_{s-t} (mod q_s), 0 <= t <= s, gives q_{2s} = -1 and
+q_{2s-1} = x, so q_{2s+1} = 0 and q_{2s+2} = 1: the starting pair
+(q_{-1}, q_0) again, and q_l mod q_s has period 2(s+1) in l.  So for
+k = l mod 2(s+1), q_s divides q_l - e*q_j, with (e, j) = (+1, k) when
+k <= s and (-1, 2s-k) otherwise; j has l's parity, so that difference is
+x**(l % 2) * G(x**2) with G = F_l - e*F_j.  F_s(x**2) divides q_s, hence
+x**(l % 2) * G(x**2), and is prime to x, as F_s(0) is +-1 for even s and
++-(s+1)/2 for odd s; so it divides G(x**2).  F_s is led by +-1, so
+G = Q*F_s + R over the integers with deg R < deg F_s; F_s(x**2) divides
+R(x**2), so R = 0 and F_l mod F_s = e*F_j mod F_s, of either parity.
+F_j has degree j // 2, below s // 2 unless j = s, where the remainder is
+0 as for j = -1, or s is odd, l even and j = s - 1: then
+F_{s-1} = -F_s - F_{s-2}, the recurrence at odd s, and the remainder is
+-e*F_{s-2}.  Euclid divides only by halves of positive degree, s >= 2,
+and by -F_s as by F_s, so each remainder of :func:`resultant` on two
+halves is, up to sign, a half led by +1 or -1, the next divisor.  The
 rule stays in documentation and tests: picking the index by it would
 compute the gcd of the indices, the closed form's route, and
 :func:`resultant` would no longer check anything independently.
@@ -243,7 +249,12 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant requires nonzero polynomials")
-    a, b = f.coeffs, g.coeffs
+    return _resultant(f.coeffs, g.coeffs)
+
+
+def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """:func:`resultant` on ascending coefficient sequences, each nonempty
+    with a nonzero last coefficient."""
     sign = 1
     if len(a) < len(b):
         a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))

@@ -1,10 +1,12 @@
 """The four determinant methods, their agreement, and the identity suite."""
 from __future__ import annotations
 
+import gc
 import inspect
 import itertools
 import math
 import operator
+import sys
 import time
 import tracemalloc
 
@@ -59,7 +61,15 @@ from boxdet.det_methods import (
     verify_all,
 )
 from boxdet.exact_linalg import bareiss_band_det
-from boxdet.polynomials import ONE, ZERO, IntPoly, path_charpoly, pseudo_rem, resultant
+from boxdet.polynomials import (
+    ONE,
+    ZERO,
+    IntPoly,
+    _resultant,
+    path_charpoly,
+    pseudo_rem,
+    resultant,
+)
 
 
 class TestFrozenValues:
@@ -426,7 +436,7 @@ class TestResultantHalves:
     def test_library_resultant_on_every_half_pair_up_to_24(self):
         """The inputs det_resultant hands to resultant, against the Sylvester
         oracle: every remainder of these sequences is led by +1 or -1."""
-        halves = {k: _square_half(k) for k in range(1, 25)}
+        halves = {k: IntPoly(_square_half(k)) for k in range(1, 25)}
         for n, f in halves.items():
             for m, g in halves.items():
                 assert resultant(f, g) == sylvester_resultant(f, g), (n, m)
@@ -439,10 +449,10 @@ class TestResultantHalves:
         degrees = []
 
         def spy(f, g):
-            degrees.append((f.degree, g.degree))
-            return resultant(f, g)
+            degrees.append((len(f) - 1, len(g) - 1))
+            return _resultant(f, g)
 
-        monkeypatch.setattr(dm, "resultant", spy)
+        monkeypatch.setattr(dm, "_resultant", spy)
         for n in range(1, 31):
             for m in range(1, 31):
                 degrees.clear()
@@ -455,7 +465,7 @@ class TestResultantHalves:
         this test asserts; no code path relies on it."""
         import boxdet.polynomials as polynomials
 
-        halves = {_square_half(j).coeffs for j in range(40)}
+        halves = {_square_half(j) for j in range(40)}
         halves |= {tuple(-c for c in h) for h in halves}
         rem = polynomials._rem
         seen = []
@@ -475,26 +485,65 @@ class TestResultantHalves:
                 count += sum(map(bool, seen))
         assert count > 1000
 
-    def test_same_parity_remainder_is_the_half_the_fold_names(self):
-        """For l >= s of equal parity and k = l mod 2(s+1), F_l mod F_s is
-        +F_k when k <= s and -F_{2s-k} otherwise, 0 when that index is s
-        or -1 (F_{-1} = 0): the rule argued in the polynomials module from
-        the shift identity and the period 2(s+1).  Asserted here only; no
-        code path picks the index."""
-        halves = {j: _square_half(j) for j in range(160)}
-        count = 0
-        for s in range(1, 40):
-            for l in range(s, 160, 2):
+    def test_remainder_is_the_half_the_fold_names(self):
+        """For s >= 2, l != s with deg F_l >= deg F_s, and k = l mod 2(s+1),
+        F_l mod F_s is +F_k when k <= s and -F_{2s-k} otherwise, 0 when that
+        index is s or -1 (F_{-1} = 0), of either parity; but for odd s, even
+        l and index s - 1, it is the opposite sign times F_{s-2}: the rule
+        argued in the polynomials module from the shift identity and the
+        period 2(s+1).  Asserted here only; no code path picks the index."""
+        halves = {j: IntPoly(_square_half(j)) for j in range(240)}
+        count = exceptions = 0
+        for s in range(2, 60):
+            for l in range(240):
+                if l == s or l // 2 < s // 2:
+                    continue
                 k = l % (2 * (s + 1))
                 sign, j = (1, k) if k <= s else (-1, 2 * s - k)
+                if s % 2 and not l % 2 and j == s - 1:
+                    sign, j = -sign, s - 2
+                    exceptions += 1
                 named = ZERO if j in (s, -1) else halves[j] * sign
                 assert pseudo_rem(halves[l], halves[s]) == named, (l, s)
                 count += 1
-        assert count == sum(len(range(s, 160, 2)) for s in range(1, 40))
+        assert (count, exceptions) == (12_122, 360)
+
+    def test_last_divisor_has_the_degree_of_the_index_gcd(self, monkeypatch):
+        """The last divisor Euclid meets on the halves of q_n and q_m, for
+        even nm, has degree (gcd(n+1, m+1) - 1) // 2, since the gcd of q_n
+        and q_m is q_{gcd(n+1, m+1) - 1} up to sign: of degree 0 exactly
+        when the closed form is nonzero.  Asserted here only."""
+        import boxdet.polynomials as polynomials
+
+        rem = polynomials._rem
+        steps = []
+
+        def spy(a, b):
+            r = rem(a, b)
+            steps.append((len(b) - 1, len(r) - 1))
+            return r
+
+        monkeypatch.setattr(polynomials, "_rem", spy)
+        count = 0
+        for n in range(1, 60):
+            for m in range(1, 60):
+                if n * m % 2:
+                    continue
+                steps.clear()
+                det_resultant(n, m)
+                # No step: one half is a constant.  Else Euclid stopped at a
+                # zero remainder, or at a constant one.
+                divisor, r = steps[-1] if steps else (0, 0)
+                degree = divisor if r < 0 else r
+                assert degree == (math.gcd(n + 1, m + 1) - 1) // 2, (n, m)
+                assert (degree == 0) == (det_closed_form(n, m) != 0), (n, m)
+                count += 1
+        assert count == 2_581
 
     def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
-        """Also when both halves are already kept: the memo answers only for
-        the q_k object it built from, and again once that one is back."""
+        """Also when both q_k are already cached: _square_half reads
+        path_charpoly through det_methods on every call, so a patched one
+        is seen, and the unpatched one again once it is back."""
         import boxdet.det_methods as dm
 
         f, g = _square_half(4), _square_half(3)
@@ -502,19 +551,36 @@ class TestResultantHalves:
             patch.setattr(dm, "path_charpoly", lambda k: path_charpoly(k) + X)
             with pytest.raises(ArithmeticError):
                 det_resultant(4, 3)
-        assert _square_half(4) is f and _square_half(3) is g
+        assert _square_half(4) == f and _square_half(3) == g
 
-    def test_halves_memo_is_bounded_and_copies_no_coefficient(self):
-        import boxdet.det_methods as dm
+    def test_halves_keep_no_path_polynomial_alive(self):
+        """After det_resultant reads 256 halves and path_charpoly then
+        computes 256 other q_k, the memory still held is that of the q_k in
+        path_charpoly's cache, its only store of path polynomials, with
+        room for the cache's own bookkeeping.  A half is a slice of q_k's
+        coefficient tuple."""
 
-        for k in range(1, 301):
-            det_resultant(2, k)
-            assert len(dm._halves) <= dm._HALVES_MAX == 256, k
-        for k, (q, half) in list(dm._halves.items()):
-            assert all(map(operator.is_, half.coeffs, q.coeffs[k % 2 :: 2])), k
+        def size(q):
+            # A zero coefficient is the one shared 0 object.
+            return sys.getsizeof(q) + sys.getsizeof(q.coeffs) + sum(
+                sys.getsizeof(c) for c in q.coeffs if c
+            )
+
+        path_charpoly.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(256, 512):
+                det_resultant(2, k)
+            for k in range(256):
+                path_charpoly(k)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path_charpoly.cache_info().currsize == 256
+        assert held <= 1.2 * sum(size(path_charpoly(k)) for k in range(256))
         half = _square_half(300)
-        assert _square_half(300) is half
-        assert all(map(operator.is_, half.coeffs, path_charpoly(300).coeffs[::2]))
+        assert all(map(operator.is_, half, path_charpoly(300).coeffs[::2]))
 
     @given(small_int_polys, small_int_polys)
     def test_resultant_of_polynomials_in_x_squared(self, f, g):
@@ -943,14 +1009,12 @@ class TestIdentitySuite:
     def test_reports_repeat_in_one_process_and_after_every_cache_is_cleared(
         self, monkeypatch
     ):
-        import boxdet.det_methods as dm
         import boxdet.polynomials as polynomials
 
         first = identity_suite(20)
         assert identity_suite(20) == first
         path_charpoly.cache_clear()
         _path_power.cache_clear()
-        dm._halves.clear()
         monkeypatch.setattr(polynomials, "_prepared", (None, 0, []))
         assert identity_suite(20) == first
         assert all(r.passed for r in first)
