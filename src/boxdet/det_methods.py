@@ -38,7 +38,7 @@ from functools import lru_cache
 from ._record import FrozenRecord
 from .exact_linalg import bareiss_band_det
 from .graphs import biadjacency_band, grid_neighbours
-from .polynomials import IntPoly, _rem, _resultant, path_charpoly, pseudo_rem, resultant
+from .polynomials import IntPoly, _mul_into, _rem, _resultant, path_charpoly, resultant
 
 DEFAULT_DIRECT_CEILING = 400
 DEFAULT_BLOCK_CEILING = 60
@@ -342,14 +342,15 @@ def verify_all(
 
 def check_splitting(k: int) -> IdentityReport:
     """q_k = q_i * q_{k-i} - q_{i-1} * q_{k-i-1} for every i in 1..k-1,
-    as an exact polynomial identity (vacuous for k = 1)."""
+    as an exact polynomial identity (vacuous for k = 1); a failure's
+    witness is the difference of the two sides."""
     _require_positive(k=k)
-    q = path_charpoly
-    lhs = q(k)
+    q = [path_charpoly(j).coeffs for j in range(k + 1)]
     for i in range(1, k):
-        rhs = q(i) * q(k - i) - q(i - 1) * q(k - i - 1)
-        if lhs != rhs:
-            return IdentityReport("splitting", {"k": k, "i": i}, lhs - rhs)
+        r = _mul_into(list(q[k]), q[i], q[k - i], -1)
+        _mul_into(r, q[i - 1], q[k - i - 1])
+        if any(r):
+            return IdentityReport("splitting", {"k": k, "i": i}, IntPoly(r))
     return IdentityReport("splitting", {"k": k})
 
 
@@ -382,38 +383,33 @@ def check_annihilation(k: int, t: int) -> IdentityReport:
 
 def check_power(k: int, a: int, b: int) -> IdentityReport:
     """At every root of q_k, q_{a(k+1)+b} = q_{k+1}**a * q_b; checked as
-    q_k dividing the difference, built in a copy of q_{a(k+1)+b}'s
-    coefficients, padded if shorter, and divided in full.  The power comes
-    already reduced modulo q_k (:func:`_path_power`), so the product
-    subtracted has degree below 2k; q_k divides what the reduction drops,
-    so the residue, and any witness, is the remainder of the unreduced
-    difference."""
+    q_k dividing the difference, built by :func:`~boxdet.polynomials._mul_into`
+    in a copy of q_{a(k+1)+b}'s coefficients, padded if shorter, and
+    divided in full.  The power comes already reduced modulo q_k, as a
+    coefficient tuple (:func:`_path_power`), so the product subtracted has
+    degree below 2k; q_k divides what the reduction drops, so the residue,
+    and any witness, is the remainder of the unreduced difference."""
     _require_positive(k=k, a=a)
     if not 0 <= b <= k:
         raise ValueError(f"offset must satisfy 0 <= b <= k, got b={b}, k={k}")
     r = list(path_charpoly(a * (k + 1) + b).coeffs)
-    power, q_b = _path_power(k + 1, a).coeffs, path_charpoly(b).coeffs
-    r += [0] * (len(power) + len(q_b) - 1 - len(r))
-    terms = [(j, d) for j, d in enumerate(q_b) if d]
-    for i, c in enumerate(power):
-        if c:
-            for j, d in terms:
-                r[i + j] -= c * d
+    _mul_into(r, _path_power(k + 1, a), path_charpoly(b).coeffs, -1)
     return _residue_report("power", {"k": k, "a": a, "b": b}, r)
 
 
 @lru_cache(maxsize=4)
-def _path_power(k: int, a: int) -> IntPoly:
-    """q_k**a modulo q_{k-1}, of degree below k - 1: the power that
+def _path_power(k: int, a: int) -> tuple[int, ...]:
+    """The coefficient tuple of q_k**a modulo q_{k-1}, of degree below
+    k - 1 and without zero top coefficients: the power that
     check_power(k - 1, a, b) needs once per offset b.  Built as
     _path_power(k, a - 1) times the base q_k mod q_{k-1}, reduced again, so
     no product reaches degree 2(k - 1).  identity_suite runs a upwards
     and b innermost, so the base and the previous power are among the few
     most recent, which are all the cache keeps."""
-    q_below = path_charpoly(k - 1)
+    q_below = path_charpoly(k - 1).coeffs
     if a == 1:
-        return pseudo_rem(path_charpoly(k), q_below)
-    return pseudo_rem(_path_power(k, a - 1) * _path_power(k, 1), q_below)
+        return tuple(_rem(path_charpoly(k).coeffs, q_below))
+    return tuple(_rem(_mul_into([], _path_power(k, a - 1), _path_power(k, 1)), q_below))
 
 
 def check_product_n_plus_1(n: int) -> IdentityReport:

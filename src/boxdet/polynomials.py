@@ -1,10 +1,13 @@
 """Exact integer polynomial arithmetic.
 
-A polynomial is a dense list of arbitrary-precision integer coefficients in
-ascending degree order: ``IntPoly((1, 0, -2))`` is ``1 - 2x^2``.  The zero
-polynomial is the empty tuple and its degree is ``float("-inf")``, so degree
-comparisons behave correctly without a sentinel integer colliding with
-degree 0.
+Inside the package a polynomial is a dense sequence, a tuple or a list, of
+arbitrary-precision integer coefficients in ascending degree order:
+``(1, 0, -2)`` is ``1 - 2x^2``.  ``_mul_into`` adds a product into a list,
+skipping zero coefficients, and ``_rem`` divides.  :class:`IntPoly` is the
+normalised record at the API, with no arithmetic operators: it stores no
+zero top coefficient, so the zero polynomial stores the empty tuple, and its
+degree is ``float("-inf")``, so degree comparisons behave correctly without
+a sentinel integer colliding with degree 0.
 
 The module also provides the characteristic polynomials ``det(A - xI)`` of
 path graphs (:func:`path_charpoly`).  They satisfy the recurrence
@@ -63,7 +66,8 @@ class IntPoly(FrozenRecord):
     """Dense integer polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     Always normalized: the highest stored coefficient is nonzero, and the
-    zero polynomial stores no coefficients at all.
+    zero polynomial stores no coefficients at all.  A record, with no
+    arithmetic operators.
     """
 
     __slots__ = ("coeffs",)
@@ -88,69 +92,6 @@ class IntPoly(FrozenRecord):
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __add__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPoly(tuple(summed))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        diff = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            diff[i] -= c
-        return IntPoly(tuple(diff))
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZERO
-        # Path polynomials vanish at every other degree, so skip zero
-        # coefficients in both factors.
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "IntPoly":
-        if exponent < 0:
-            raise ValueError("polynomial exponent must be >= 0")
-        result = ONE
-        base = self
-        k = exponent
-        while True:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
-
-
-ZERO = IntPoly(())
-ONE = IntPoly((1,))
 
 
 @lru_cache(maxsize=256)
@@ -234,6 +175,20 @@ def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return []
     while r[-1] == 0:
         r.pop()
+    return r
+
+
+def _mul_into(r: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1) -> list[int]:
+    """Add scale * a * b into r, in place, for ascending coefficient
+    sequences, and return r, first padded with zeros to the product's
+    length.  Path polynomials vanish at every other degree, so zero
+    coefficients of both factors are skipped."""
+    r += [0] * (len(a) + len(b) - 1 - len(r))
+    terms = [(j, d * scale) for j, d in enumerate(b) if d]
+    for i, c in enumerate(a):
+        if c:
+            for j, d in terms:
+                r[i + j] += c * d
     return r
 
 

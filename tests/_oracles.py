@@ -5,8 +5,10 @@ The oracles share no code with the library paths they check:
 * the characteristic polynomial comes from cofactor expansion over
   polynomial-entry matrices and from the rolling three-term recurrence
   (the check on the binomial expansion);
-* products and powers come from the plain double-loop convolution (the
-  check on the zero-skipping product and on square-and-multiply);
+* products and powers come from the plain double-loop convolution, and
+  sums and differences coefficient by coefficient (the check on the
+  package's one zero-skipping product, ``polynomials._mul_into``, and on
+  the reduced powers of the identity suite);
 * pseudo-remainders come from dense schoolbook pseudo-division that
   rescales the whole dividend at every step (the check on the monic
   remainder routine);
@@ -43,15 +45,17 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import add, sub
 
 from boxdet._record import FrozenRecord
-from boxdet.polynomials import ONE, ZERO, IntPoly
+from boxdet.polynomials import IntPoly
 
 COFACTOR_SIZE_LIMIT = 10
+ZERO = IntPoly(())
+ONE = IntPoly((1,))
 X = IntPoly((0, 1))
 
 
@@ -244,8 +248,8 @@ def _poly_det(rows: list[list[IntPoly]]) -> IntPoly:
         minor = [
             [row[i] for i in range(len(row)) if i != j] for row in rows[1:]
         ]
-        term = entry * _poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
+        term = convolve(entry, _poly_det(minor))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
     return total
 
 
@@ -266,13 +270,13 @@ def charpoly_by_cofactor(n: int) -> IntPoly:
 
 def recurrence_charpolys():
     """q_0, q_1, q_2, ... by ``q_k = -x * q_{k-1} - q_{k-2}``, keeping only
-    the last two; O(k) polynomial operations to reach q_k."""
-    minus_x = IntPoly((0, -1))
-    prev, cur = ONE, minus_x
+    the last two; O(k) polynomial operations to reach q_k.  -x * q is q's
+    coefficients negated and shifted up one degree."""
+    prev, cur = ONE, IntPoly((0, -1))
     yield prev
     while True:
         yield cur
-        prev, cur = cur, minus_x * cur - prev
+        prev, cur = cur, sub(IntPoly((0, *(-c for c in cur.coeffs))), prev)
 
 
 def recurrence_charpoly(n: int) -> IntPoly:
@@ -304,6 +308,16 @@ def dense_prem(a: list[int], b: list[int]) -> list[int]:
         r.pop()
     factor = lb**scale
     return [c * factor for c in r]
+
+
+def add(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p + q, coefficient by coefficient."""
+    return IntPoly(a + b for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0))
+
+
+def sub(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p - q, coefficient by coefficient."""
+    return IntPoly(a - b for a, b in itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0))
 
 
 def convolve(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -376,7 +390,7 @@ def recurrence_block_matrices(m: int):
         yield cur
         padded = [zero, *cur, zero]
         prev, cur = cur, [
-            list(map(sub, map(add, padded[i], padded[i + 2]), prev[i]))
+            list(map(operator.sub, map(operator.add, padded[i], padded[i + 2]), prev[i]))
             for i in range(m)
         ]
 

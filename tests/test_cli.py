@@ -12,7 +12,7 @@ import boxdet.cli as cli
 import boxdet.det_methods as det_methods
 from boxdet.cli import main, parse_sizes
 from boxdet.det_methods import DetReport, IdentityReport
-from boxdet.polynomials import ONE, IntPoly
+from boxdet.polynomials import IntPoly
 
 TIMING = re.compile(r"\[\d+\.\d{3} ms\]")
 
@@ -282,7 +282,7 @@ class TestIdentities:
 
     def test_failure_exits_nonzero(self, capsys, monkeypatch):
         def broken(k):
-            return IdentityReport("splitting", {"k": k}, witness=ONE)
+            return IdentityReport("splitting", {"k": k}, witness=IntPoly((1,)))
 
         monkeypatch.setattr(det_methods, "check_splitting", broken)
         code, out, err = run_cli(capsys, "identities", "--max-k", "2")

@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    ONE,
     X,
+    ZERO,
     IntMatrix,
+    add,
     adjacency_matrix,
     box_product_by_definition,
     cofactor_det,
@@ -31,6 +34,7 @@ from _oracles import (
     recurrence_block_matrices,
     repeated_power,
     scale_rows,
+    sub,
     sylvester_matrix,
     sylvester_resultant,
 )
@@ -62,8 +66,6 @@ from boxdet.det_methods import (
 )
 from boxdet.exact_linalg import bareiss_band_det
 from boxdet.polynomials import (
-    ONE,
-    ZERO,
     IntPoly,
     _resultant,
     path_charpoly,
@@ -503,7 +505,7 @@ class TestResultantHalves:
                 if s % 2 and not l % 2 and j == s - 1:
                     sign, j = -sign, s - 2
                     exceptions += 1
-                named = ZERO if j in (s, -1) else halves[j] * sign
+                named = ZERO if j in (s, -1) else IntPoly(sign * c for c in halves[j].coeffs)
                 assert pseudo_rem(halves[l], halves[s]) == named, (l, s)
                 count += 1
         assert (count, exceptions) == (12_122, 360)
@@ -548,7 +550,7 @@ class TestResultantHalves:
 
         f, g = _square_half(4), _square_half(3)
         with monkeypatch.context() as patch:
-            patch.setattr(dm, "path_charpoly", lambda k: path_charpoly(k) + X)
+            patch.setattr(dm, "path_charpoly", lambda k: add(path_charpoly(k), X))
             with pytest.raises(ArithmeticError):
                 det_resultant(4, 3)
         assert _square_half(4) == f and _square_half(3) == g
@@ -955,7 +957,7 @@ class TestIdentitySuite:
         expected = [
             *(("splitting", {"k": k}, None) for k in ks),
             *(
-                ("shift", {"k": k, "s": s}, witness(q(k + s) + q(k - s), k))
+                ("shift", {"k": k, "s": s}, witness(add(q(k + s), q(k - s)), k))
                 for k in ks
                 for s in range(k + 1)
             ),
@@ -969,7 +971,8 @@ class TestIdentitySuite:
                     "power",
                     {"k": k, "a": a, "b": b},
                     witness(
-                        q(a * (k + 1) + b) - convolve(repeated_power(q(k + 1), a), q(b)), k
+                        sub(q(a * (k + 1) + b), convolve(repeated_power(q(k + 1), a), q(b))),
+                        k,
                     ),
                 )
                 for k in ks
@@ -995,7 +998,7 @@ class TestIdentitySuite:
         assert info.misses == 20 * 4
         for k in range(1, 21):
             for a in range(1, 5):
-                assert _path_power(k + 1, a).degree < k, (k, a)
+                assert len(_path_power(k + 1, a)) <= k, (k, a)
 
     def test_power_is_the_full_power_reduced(self):
         """_path_power multiplies and reduces one factor at a time; the old
@@ -1003,8 +1006,8 @@ class TestIdentitySuite:
         _path_power.cache_clear()
         for k in range(1, 42):
             for a in EXPONENTS:
-                full = pseudo_rem(path_charpoly(k) ** a, path_charpoly(k - 1))
-                assert _path_power(k, a) == full, (k, a)
+                full = pseudo_rem(repeated_power(path_charpoly(k), a), path_charpoly(k - 1))
+                assert _path_power(k, a) == full.coeffs, (k, a)
 
     def test_reports_repeat_in_one_process_and_after_every_cache_is_cleared(
         self, monkeypatch
@@ -1066,6 +1069,29 @@ class TestIdentitySuite:
         assert check_symmetry(7, 4).witness == -witness
         assert check_symmetry(4, 4).passed
 
+    @pytest.mark.parametrize(
+        "k, j, first",
+        [(29, 29, 1), (20, 7, 7), (20, 13, 6), (12, 0, 1), (15, 14, 1), (9, 4, 4)],
+    )
+    def test_splitting_witness_of_a_fault(self, monkeypatch, k, j, first):
+        """With q_j perturbed below its leading term, check_splitting(k)
+        fails first at the smallest i whose terms name q_j, as q_i, q_{k-i},
+        q_{i-1} or q_{k-i-1} (every i when j = k), and its witness is
+        q_k - (q_i q_{k-i} - q_{i-1} q_{k-i-1}) built with the plain
+        convolution."""
+        import boxdet.det_methods as dm
+
+        def faulty(n: int) -> IntPoly:
+            return add(path_charpoly(n), IntPoly((1, 0, 3))) if n == j else path_charpoly(n)
+
+        monkeypatch.setattr(dm, "path_charpoly", faulty)
+        q = faulty
+        report = check_splitting(k)
+        assert report.params == {"k": k, "i": first}
+        i = first
+        rhs = sub(convolve(q(i), q(k - i)), convolve(q(i - 1), q(k - i - 1)))
+        assert report.witness == sub(q(k), rhs) != ZERO
+
     def test_shift_and_annihilation_witnesses_survive_a_fault(self, monkeypatch):
         """With the dividend q_29 and the divisor q_11 perturbed below their
         leading terms, every shift and annihilation check with k <= 25 carries
@@ -1074,17 +1100,17 @@ class TestIdentitySuite:
         a pass when it is zero."""
         import boxdet.det_methods as dm
 
-        faults = {29: 3 * X**7 + 1, 11: X**4 - 2 * X}
+        faults = {29: IntPoly((1, 0, 0, 0, 0, 0, 0, 3)), 11: IntPoly((0, -2, 0, 0, 1))}
 
         def faulty(k: int) -> IntPoly:
-            return path_charpoly(k) + faults.get(k, 0)
+            return add(path_charpoly(k), faults.get(k, ZERO))
 
         monkeypatch.setattr(dm, "path_charpoly", faulty)
         failed = set()
         for k in range(1, 26):
             for s in range(k + 1):
                 report = check_shift(k, s)
-                dividend = faulty(k + s) + faulty(k - s)
+                dividend = add(faulty(k + s), faulty(k - s))
                 assert report.witness == _dense_residue(dividend, faulty(k)), (k, s)
                 if not report.passed:
                     failed.add(("shift", k, k + s))
@@ -1122,7 +1148,7 @@ class TestIdentitySuite:
                     for b in range(k + 1):
                         report = check_power(k, a, b)
                         product = convolve(repeated_power(faulty(k + 1), a), faulty(b))
-                        difference = faulty(a * (k + 1) + b) - product
+                        difference = sub(faulty(a * (k + 1) + b), product)
                         expected = _dense_residue(difference, faulty(k))
                         assert report.witness == expected, (k, a, b)
                         # The reduced power has degree k - 1, below q_{k+1}**a.
@@ -1141,10 +1167,10 @@ class TestIdentitySuite:
         witness, even where the perturbed q_13 is the divisor."""
         import boxdet.det_methods as dm
 
-        faults = {40: 3 * X**7 + 1, 13: X**12 - 2 * X}
+        faults = {40: IntPoly((1, 0, 0, 0, 0, 0, 0, 3)), 13: IntPoly((0, -2, *(0,) * 10, 1))}
 
         def faulty(k: int) -> IntPoly:
-            return path_charpoly(k) + faults.get(k, 0)
+            return add(path_charpoly(k), faults.get(k, ZERO))
 
         monkeypatch.setattr(dm, "path_charpoly", faulty)
         _path_power.cache_clear()
@@ -1162,8 +1188,8 @@ class TestIdentitySuite:
         for report in failures:
             k, a, b = report.params["k"], report.params["a"], report.params["b"]
             touched.add(a * (k + 1) + b)
-            difference = faulty(a * (k + 1) + b) - convolve(
-                repeated_power(faulty(k + 1), a), faulty(b)
+            difference = sub(
+                faulty(a * (k + 1) + b), convolve(repeated_power(faulty(k + 1), a), faulty(b))
             )
             assert report.witness == _dense_residue(difference, faulty(k)), (k, a, b)
         assert {40, 13} <= touched

@@ -1,4 +1,5 @@
-"""Polynomial layer: arithmetic, the path recurrence, division, resultants."""
+"""Polynomial layer: the record, the product, the path recurrence, division,
+resultants."""
 from __future__ import annotations
 
 import json
@@ -10,22 +11,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import (
+    ONE,
     X,
+    ZERO,
     Parity,
+    add,
     charpoly_by_cofactor,
     convolve,
     dense_prem,
     parity,
     recurrence_charpoly,
     recurrence_charpolys,
-    repeated_power,
+    sub,
     sylvester_resultant,
 )
 from boxdet.polynomials import (
     NEG_INFINITY,
-    ONE,
-    ZERO,
     IntPoly,
+    _mul_into,
     _rem,
     path_charpoly,
     poly_to_json,
@@ -43,6 +46,11 @@ def evaluate(p: IntPoly, x: int) -> int:
     for c in reversed(p.coeffs):
         result = result * x + c
     return result
+
+
+def mul(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p * q by the library's product, into an empty list."""
+    return IntPoly(_mul_into([], p.coeffs, q.coeffs))
 
 
 class TestIntPolyBasics:
@@ -66,54 +74,47 @@ class TestIntPolyBasics:
         assert X.degree == 1
 
     def test_leading_coefficient(self):
-        assert (2 * X**3 - X).leading_coefficient == 2
+        assert IntPoly((0, -1, 0, 2)).leading_coefficient == 2  # 2x^3 - x
         assert ONE.leading_coefficient == 1
         with pytest.raises(ValueError):
             ZERO.leading_coefficient
 
     def test_arithmetic_examples(self):
-        assert (X + 1) * (X - 1) == X**2 - 1
-        assert (X**2 - 1) + ONE == X**2
-        assert ZERO + (X**2 - 1) == X**2 - 1
-        assert X * -1 + X * -1 == -2 * X
-        assert (X * -1) * (X * -1) == X**2
-        assert (X**2 - 1) * ONE == X**2 - 1
-        assert (X**2 - 1) ** 2 == X**4 - 2 * X**2 + 1
-        assert (X * -1) ** 3 == IntPoly((0, 0, 0, -1))
-        assert X**0 == ONE
-        assert 2 * X == X + X
-        assert (X + 2) - (X + 2) == ZERO
+        # (x + 1)(x - 1) = x^2 - 1, and (-x)(-x) = x^2
+        assert _mul_into([], (1, 1), (-1, 1)) == [-1, 0, 1]
+        assert _mul_into([], (0, -1), (0, -1)) == [0, 0, 1]
+        # (x^2 - 1)^2 = x^4 - 2x^2 + 1, and (x^2 - 1) * 1
+        assert _mul_into([], (-1, 0, 1), (-1, 0, 1)) == [1, 0, -2, 0, 1]
+        assert _mul_into([], (-1, 0, 1), (1,)) == [-1, 0, 1]
+        # x^2 - 1 + 1 * 1 = x^2; 5 + x * x, r padded; x^2 - x * x = 0, r kept
+        assert _mul_into([-1, 0, 1], (1,), (1,)) == [0, 0, 1]
+        assert _mul_into([5], (0, 1), (0, 1)) == [5, 0, 1]
+        assert _mul_into([0, 0, 1], (0, 1), (0, 1), -1) == [0, 0, 0]
+        # (-x)(-x)(-x), a product of a product
+        assert _mul_into([], _mul_into([], (0, -1), (0, -1)), (0, -1)) == [0, 0, 0, -1]
+        # 2x = x * 2 = x + x
+        assert _mul_into([], (0, 1), (2,)) == _mul_into([0, 1], (0, 1), (1,)) == [0, 2]
 
     def test_evaluation_examples(self):
         q2 = path_charpoly(2)
         assert evaluate(q2, 3) == 8
         assert evaluate(q2, 0) == -1
         assert evaluate(ZERO, 17) == 0
-        assert evaluate(X**3 - 2 * X, 5) == 115
+        assert evaluate(IntPoly((0, -2, 0, 1)), 5) == 115  # x^3 - 2x
 
-    @given(small_polys, small_polys, st.integers(-20, 20))
-    def test_evaluation_is_a_ring_homomorphism(self, p, q, v):
-        assert evaluate(p + q, v) == evaluate(p, v) + evaluate(q, v)
-        assert evaluate(p - q, v) == evaluate(p, v) - evaluate(q, v)
-        assert evaluate(p * q, v) == evaluate(p, v) * evaluate(q, v)
-
-    @given(small_polys, small_polys)
-    @example(X**2 + 1, X**2 - 1)  # the top coefficients cancel
-    @example(X, X**3 + X)  # the subtrahend is the longer
-    def test_difference_matches_coefficientwise(self, p, q):
-        size = max(len(p.coeffs), len(q.coeffs))
-        a = list(p.coeffs) + [0] * (size - len(p.coeffs))
-        b = list(q.coeffs) + [0] * (size - len(q.coeffs))
-        assert p - q == IntPoly(tuple(x - y for x, y in zip(a, b)))
-        assert (p - q).coeffs[-1:] != (0,)
-        assert p - 3 == p + IntPoly((-3,))
+    @given(small_polys, small_polys, small_polys, st.sampled_from([1, -1]), st.integers(-20, 20))
+    def test_evaluation_is_a_ring_homomorphism(self, r, p, q, scale, v):
+        """r + scale * p * q, added into r, evaluates to
+        r(v) + scale * p(v) * q(v)."""
+        total = IntPoly(_mul_into(list(r.coeffs), p.coeffs, q.coeffs, scale))
+        assert evaluate(total, v) == evaluate(r, v) + scale * evaluate(p, v) * evaluate(q, v)
 
     @given(small_polys, small_polys)
     def test_degree_of_product(self, p, q):
         if p.is_zero or q.is_zero:
-            assert (p * q).is_zero
+            assert mul(p, q).is_zero
         else:
-            assert (p * q).degree == p.degree + q.degree
+            assert mul(p, q).degree == p.degree + q.degree
 
 
 # Path polynomials vanish at every other degree; so do these interleavings.
@@ -136,31 +137,37 @@ class TestProducts:
     @example(path_charpoly(21), path_charpoly(21))
     @example(ZERO, path_charpoly(3))
     def test_product_matches_plain_convolution(self, p, q):
-        assert p * q == convolve(p, q)
-        assert q * p == convolve(p, q)
+        assert mul(p, q) == convolve(p, q)
+        assert mul(q, p) == convolve(p, q)
 
-    @given(product_operands, st.integers(0, 8))
-    @example(path_charpoly(21), 4)
-    @example(ZERO, 0)
-    def test_power_matches_repeated_multiplication(self, p, a):
-        assert p**a == repeated_power(p, a)
-
-    @pytest.mark.parametrize("a", range(17))
-    def test_power_squares_only_while_bits_remain(self, monkeypatch, a):
-        """Square-and-multiply needs bit_length(a) - 1 squarings and one
-        product per set bit; a squaring after the last bit is wasted."""
-        base = path_charpoly(7)
-        counts = {"squarings": 0, "products": 0}
-        real_mul = IntPoly.__mul__
-
-        def counting_mul(self, other):
-            counts["squarings" if self is other else "products"] += 1
-            return real_mul(self, other)
-
-        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-        base**a
-        assert counts["squarings"] <= max(a.bit_length() - 1, 0)
-        assert counts["products"] <= bin(a).count("1")
+    @given(
+        product_operands,
+        product_operands,
+        st.sampled_from([-3, -1, 0, 1, 3]),
+        st.sampled_from([1, -1]),
+        st.data(),
+    )
+    @example(path_charpoly(5), path_charpoly(4), -3, -1, None)
+    @example(path_charpoly(21), path_charpoly(20), 0, 1, None)
+    @example(IntPoly((10**30, 0, -(3**80))), path_charpoly(6), 3, -1, None)
+    @example(ZERO, path_charpoly(3), 1, 1, None)
+    def test_mul_into_adds_the_scaled_product_in_place(self, p, q, extra, scale, data):
+        """_mul_into(r, p, q, scale) pads r to the product's length,
+        len(p) + len(q) - 1, when r is shorter, keeps a longer r's length,
+        adds scale * p * q into it, and returns r itself.  r has ``extra``
+        coefficients more than the product, or fewer; the explicit examples,
+        which cannot draw, take r = [0, -1, 2, -3, ...]."""
+        size = max(len(p.coeffs) + len(q.coeffs) - 1 + extra, 0)
+        if data is None:
+            r = [(-1) ** i * i for i in range(size)]
+        else:
+            r = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+        before = IntPoly(r)
+        out = _mul_into(r, p.coeffs, q.coeffs, scale)
+        assert out is r
+        assert len(r) == max(size, len(p.coeffs) + len(q.coeffs) - 1)
+        plus_or_minus = add if scale == 1 else sub
+        assert IntPoly(r) == plus_or_minus(before, convolve(p, q))
 
 
 class TestPathCharpoly:
@@ -176,10 +183,10 @@ class TestPathCharpoly:
             assert path_charpoly(n) == charpoly_by_cofactor(n)
 
     def test_recurrence_up_to_50(self):
-        minus_x = X * -1
+        minus_x = IntPoly((0, -1))
         for n in range(2, 51):
             q = path_charpoly(n)
-            assert q == minus_x * path_charpoly(n - 1) - path_charpoly(n - 2)
+            assert q == sub(convolve(minus_x, path_charpoly(n - 1)), path_charpoly(n - 2))
 
     def test_degree_parity_leading_coefficient_up_to_50(self):
         for n in range(0, 51):
@@ -210,39 +217,40 @@ class TestPathCharpoly:
 
 class TestParity:
     def test_examples(self):
-        assert parity(X**2 - 1) == Parity.EVEN
-        assert parity(X**3 - 2 * X) == Parity.ODD
-        assert parity(X + 1) == Parity.NEITHER
+        assert parity(IntPoly((-1, 0, 1))) == Parity.EVEN  # x^2 - 1
+        assert parity(IntPoly((0, -2, 0, 1))) == Parity.ODD  # x^3 - 2x
+        assert parity(IntPoly((1, 1))) == Parity.NEITHER  # x + 1
         assert parity(ZERO) == Parity.EVEN
 
 
 def _divide_exactly(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Schoolbook long division for unit-lc divisors, built only from the
-    ring operations so it is independent of pseudo_rem."""
+    oracle's ring operations so it is independent of pseudo_rem."""
     quotient, rest = ZERO, num
     while not rest.is_zero and rest.degree >= den.degree:
         step = IntPoly(
             (0,) * int(rest.degree - den.degree)
             + (rest.leading_coefficient * den.leading_coefficient,)
         )
-        quotient = quotient + step
-        rest = rest - step * den
+        quotient = add(quotient, step)
+        rest = sub(rest, convolve(step, den))
     return quotient, rest
 
 
 class TestPseudoRem:
     def test_examples(self):
+        minus_x, x2_minus_1 = IntPoly((0, -1)), IntPoly((-1, 0, 1))
         # x^2 = (-x)(-x) + 0
-        assert pseudo_rem(X**2, X * -1).is_zero
-        assert pseudo_rem(X, X * -1).is_zero
+        assert pseudo_rem(IntPoly((0, 0, 1)), minus_x).is_zero
+        assert pseudo_rem(X, minus_x).is_zero
         # q_3 = -x(x^2 - 2) is a multiple of q_1 = -x
         assert pseudo_rem(path_charpoly(3), path_charpoly(1)).is_zero
         # self-division
-        assert pseudo_rem(X**2 - 1, X**2 - 1).is_zero
+        assert pseudo_rem(x2_minus_1, x2_minus_1).is_zero
         # x^3 + 1 mod x^2 - 1: quotient x, remainder x + 1
-        assert pseudo_rem(X**3 + 1, X**2 - 1) == X + 1
+        assert pseudo_rem(IntPoly((1, 0, 0, 1)), x2_minus_1) == IntPoly((1, 1))
         # degree of a below degree of b: a comes back unchanged
-        assert pseudo_rem(X + 5, X**2 - 1) == X + 5
+        assert pseudo_rem(IntPoly((5, 1)), x2_minus_1) == IntPoly((5, 1))
 
     def test_difference_is_divisible_by_the_divisor(self):
         """Spot-check a - r against an independent long division: the
@@ -256,9 +264,9 @@ class TestPseudoRem:
                 )
                 r = pseudo_rem(a, b)
                 assert r.is_zero or r.degree < b.degree
-                quotient, residue = _divide_exactly(a - r, b)
+                quotient, residue = _divide_exactly(sub(a, r), b)
                 assert residue.is_zero
-                assert quotient * b == a - r
+                assert convolve(quotient, b) == sub(a, r)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -266,7 +274,7 @@ class TestPseudoRem:
 
     def test_non_unit_leading_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            pseudo_rem(X**2, 2 * X + 1)
+            pseudo_rem(IntPoly((0, 0, 1)), IntPoly((1, 2)))  # x^2 by 2x + 1
 
     @given(
         st.lists(st.integers(-9, 9), max_size=5),
@@ -277,10 +285,10 @@ class TestPseudoRem:
     def test_reconstruction(self, q_coeffs, r_coeffs, b_degree, b_lead):
         """Build a = q*b + r with deg r < deg b and unit lc(b); the division
         must hand back exactly r."""
-        b = IntPoly(tuple(r_coeffs[:b_degree])) + IntPoly((0,) * b_degree + (b_lead,))
+        b = add(IntPoly(tuple(r_coeffs[:b_degree])), IntPoly((0,) * b_degree + (b_lead,)))
         q = IntPoly(tuple(q_coeffs))
         r = IntPoly(tuple(r_coeffs[: b_degree]))
-        assert pseudo_rem(q * b + r, b) == r
+        assert pseudo_rem(add(convolve(q, b), r), b) == r
 
 
 coefficients = st.integers(-30, 30)
@@ -331,7 +339,7 @@ class TestWindowedPrem:
         q = list(path_charpoly(k).coeffs)
         half = q[k % 2 :: 2]
         for b in (q, [-c for c in q], half, [-c for c in half]):
-            multiple = list((IntPoly(b) * path_charpoly(3)).coeffs)
+            multiple = list(convolve(IntPoly(b), path_charpoly(3)).coeffs)
             assert _rem(multiple, b) == dense_prem(multiple, b) == []
             for extra in range(4):
                 for zero_top in range(3):
@@ -367,10 +375,11 @@ class TestResultant:
         assert resultant(path_charpoly(1), path_charpoly(2)) == -1
         assert resultant(path_charpoly(2), path_charpoly(3)) == -1
         assert resultant(X, X) == 0
-        assert resultant(X**2 - 1, X - 1) == 0
-        assert resultant(X - 2, X - 3) == -1
-        assert resultant(IntPoly((3,)), X**2 + 1) == 9
-        assert resultant(X**2 + 1, IntPoly((3,))) == 9
+        x2_plus_1 = IntPoly((1, 0, 1))
+        assert resultant(IntPoly((-1, 0, 1)), IntPoly((-1, 1))) == 0  # x^2 - 1, x - 1
+        assert resultant(IntPoly((-2, 1)), IntPoly((-3, 1))) == -1  # x - 2, x - 3
+        assert resultant(IntPoly((3,)), x2_plus_1) == 9
+        assert resultant(x2_plus_1, IntPoly((3,))) == 9
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -392,24 +401,24 @@ class TestResultant:
 
     def test_multiplicative_in_the_first_argument(self):
         # Every remainder of the three sequences is led by +1 or -1.
-        f1, f2, g = X - 1, X**2 + X + 3, X**2 + 1
-        assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g) == 10
+        f1, f2, g = IntPoly((-1, 1)), IntPoly((3, 1, 1)), IntPoly((1, 0, 1))
+        assert resultant(convolve(f1, f2), g) == resultant(f1, g) * resultant(f2, g) == 10
 
     def test_root_product_meaning_on_factored_input(self):
         # f = (x-1)(x-2), g evaluated at 1 and 2, lc(f)^deg(g) = 1; the one
         # remainder, f - g = -x - 3, is led by -1.
-        f = (X - 1) * (X - 2)
-        g = X**2 - 2 * X + 5
+        f = IntPoly((2, -3, 1))  # (x - 1)(x - 2)
+        g = IntPoly((5, -2, 1))  # x^2 - 2x + 5
         assert resultant(f, g) == evaluate(g, 1) * evaluate(g, 2) == 20
 
     def test_remainder_led_by_a_non_unit_is_rejected(self):
         # (x-1)(x-2) mod x^2 + 1 is -3x + 1.
         with pytest.raises(ValueError, match=r"got -3$"):
-            resultant((X - 1) * (X - 2), X**2 + 1)
+            resultant(IntPoly((2, -3, 1)), IntPoly((1, 0, 1)))
 
     @given(generic_polys, generic_polys)
-    @example(X**3 + 2 * X - 3, X**2 + 1)  # unit-led throughout
-    @example((X - 1) * (X - 2), X**2 + 1)  # rejected at its first remainder
+    @example(IntPoly((-3, 2, 0, 1)), IntPoly((1, 0, 1)))  # unit-led throughout
+    @example(IntPoly((2, -3, 1)), IntPoly((1, 0, 1)))  # rejected at its first remainder
     @example(IntPoly((3,)), IntPoly((-2,)))  # two constants
     def test_equals_the_sylvester_determinant_or_raises(self, f, g):
         """resultant never returns a wrong value: on a divisor led by

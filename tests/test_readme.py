@@ -70,6 +70,13 @@ def test_public_api():
     for module in (boxdet, boxdet.graphs):
         for name in ("Graph", "path", "box_product", "box_neighbours"):
             assert not hasattr(module, name), (module.__name__, name)
+    # IntPoly is a record with no arithmetic: the package multiplies
+    # coefficient sequences, and the tests add, subtract and multiply
+    # IntPolys with the oracles in tests/_oracles.py.
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        assert not hasattr(boxdet.IntPoly, name), name
+    for name in ("ZERO", "ONE"):
+        assert not hasattr(boxdet.polynomials, name), name
 
 
 def test_library_example_runs():
