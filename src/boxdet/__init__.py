@@ -25,7 +25,7 @@ from .det_methods import (
     identity_suite,
     verify_all,
 )
-from .polynomials import IntPoly, path_charpoly, pseudo_rem, resultant
+from .polynomials import IntPoly, path_charpoly, resultant
 
 __version__ = "1.0.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "det_resultant",
     "identity_suite",
     "path_charpoly",
-    "pseudo_rem",
     "resultant",
     "verify_all",
 ]

@@ -19,14 +19,13 @@ leading coefficient of the n-vertex path polynomial is ``(-1)**n``, not +1;
 that fact is asserted on every value rather than assumed.
 
 Division is exact too, and only by divisors led by +1 or -1, as every
-path polynomial is: :func:`pseudo_rem` returns such a remainder, and
+path polynomial is.  ``_rem`` returns such a remainder, and
 :func:`resultant` runs Euclid's algorithm over them, raising ValueError on
-a remainder led by anything else.  Both rest on ``_rem``, which rejects
-such a divisor, negates one led by -1 once and then walks only its nonzero
-terms, about half of a path polynomial's.  It keeps that prepared form
-for the last tuple divisor, matched by identity, so the identity suite's
-many dividends by one q_k check and scan it once; a list is prepared on
-every call.
+a remainder led by anything else.  ``_rem`` rejects such a divisor,
+negates one led by -1 once and then walks only its nonzero terms, about
+half of a path polynomial's.  It keeps that prepared form for the last
+tuple divisor, matched by identity, so the identity suite's many dividends
+by one q_k check and scan it once; a list is prepared on every call.
 
 Path polynomials keep that contract, argued here for either parity.
 Write q_k(x) = x**(k % 2) * F_k(x**2), with q_{-1} = 0, so F_{-1} = 0.
@@ -120,19 +119,6 @@ def path_charpoly(n: int) -> IntPoly:
     return q
 
 
-def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact remainder of a modulo b when b has a unit leading coefficient.
-
-    Because lc(b) is +1 or -1, schoolbook division stays in the integers and
-    the remainder r is the unique polynomial with deg r < deg b and
-    a = q*b + r over the integers.  Divisibility of a by b is then just
-    ``pseudo_rem(a, b).is_zero``.
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    return IntPoly(tuple(_rem(a.coeffs, b.coeffs)))
-
-
 # The last tuple divisor _rem saw, with its length less one and its terms
 # below the lead, negated when it is led by -1: (b, db, terms).  Matched by
 # identity, and held, so that no other tuple can take its id; a tuple cannot
@@ -141,15 +127,17 @@ _prepared: tuple = (None, 0, [])
 
 
 def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a mod b for ascending coefficient lists, b led by +1 or -1; any
-    other lead raises ValueError.
+    """a mod b for ascending coefficient lists, b nonempty and led by +1
+    or -1; any other lead raises ValueError.
 
-    A divisor led by -1 is negated once, since the remainder by -b is the
-    remainder by b.  Each step then subtracts only b's nonzero terms below
-    its leading one; the top coefficient that term would cancel is dropped
-    at the end, with every column at or above deg b.  The last tuple
-    divisor stays prepared; a list, which can change between calls, is
-    prepared on every call.
+    With a unit lead, division stays in the integers: r is the unique
+    polynomial with deg r < deg b and a = q*b + r, so a shorter a is its
+    own remainder.  A divisor led by -1 is negated once, since the
+    remainder by -b is the remainder by b.  Each step then subtracts only
+    b's nonzero terms below its leading one; the top coefficient that term
+    would cancel is dropped at the end, with every column at or above
+    deg b.  The last tuple divisor stays prepared; a list, which can change
+    between calls, is prepared on every call.
     """
     global _prepared
     last, db, terms = _prepared

@@ -10,8 +10,10 @@ The oracles share no code with the library paths they check:
   package's one zero-skipping product, ``polynomials._mul_into``, and on
   the reduced powers of the identity suite);
 * pseudo-remainders come from dense schoolbook pseudo-division that
-  rescales the whole dividend at every step (the check on the monic
-  remainder routine);
+  rescales the whole dividend at every step, and remainders by a divisor
+  led by +1 or -1 from it, the scaling undone (the check on the monic
+  remainder routine, ``polynomials._rem``, and on the remainders the
+  resultant and the identity suite's reduced powers rest on);
 * polynomials are evaluated at a matrix by Horner's rule with plain
   list-of-rows sums and products, and q_k(-A(P_m)) also comes from the
   unfolded matrix recurrence Q_k = B Q_{k-1} - Q_{k-2} (both the check on
@@ -47,7 +49,7 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from boxdet._record import FrozenRecord
@@ -308,6 +310,15 @@ def dense_prem(a: list[int], b: list[int]) -> list[int]:
         r.pop()
     factor = lb**scale
     return [c * factor for c in r]
+
+
+def dense_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a mod b for a unit lc(b): the dense pseudo-remainder of a, padded
+    with zeros to at least b's length, scaled by lc(b)**steps again, which
+    undoes the scaling.  A shorter a is its own remainder."""
+    a = list(a) + [0] * (len(b) - len(a))
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    return [c * scale for c in dense_prem(a, b)]
 
 
 def add(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -310,17 +311,24 @@ class TestIdentities:
 
 class TestBench:
     def test_monotone_direct_and_agreement(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--sizes", "4x4,8x8,16x16"
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert all(row[3] == "ok" for row in rows)
-        direct_times = [float(r[5]) for r in rows if r[2] == "direct"]
+        """direct's time grows with the grid, on each size's best of five
+        bench calls, as one wall-clock sample can be delayed."""
+        best = dict.fromkeys(("4", "8", "16"), math.inf)
+        for _ in range(5):
+            code, out, _ = run_cli(
+                capsys, "bench", "--sizes", "4x4,8x8,16x16"
+            )
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert all(row[3] == "ok" for row in rows)
+            for r in rows:
+                if r[2] == "direct":
+                    best[r[0]] = min(best[r[0]], float(r[5]))
+            for size in best:
+                dets = {r[4] for r in rows if r[0] == size}
+                assert len(dets) == 1  # every method reports the same value
+        direct_times = list(best.values())
         assert direct_times == sorted(direct_times)
-        for size in ("4", "8", "16"):
-            dets = {r[4] for r in rows if r[0] == size}
-            assert len(dets) == 1  # every method reports the same value
 
     def test_skipped_ceiling(self, capsys):
         code, out, _ = run_cli(

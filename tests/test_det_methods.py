@@ -26,6 +26,7 @@ from _oracles import (
     convolve,
     dense_bareiss_det,
     dense_prem,
+    dense_rem,
     expand_block_band,
     grid_eigenvalue_product,
     matpoly_eval,
@@ -69,7 +70,6 @@ from boxdet.polynomials import (
     IntPoly,
     _resultant,
     path_charpoly,
-    pseudo_rem,
     resultant,
 )
 
@@ -494,7 +494,7 @@ class TestResultantHalves:
         l and index s - 1, it is the opposite sign times F_{s-2}: the rule
         argued in the polynomials module from the shift identity and the
         period 2(s+1).  Asserted here only; no code path picks the index."""
-        halves = {j: IntPoly(_square_half(j)) for j in range(240)}
+        halves = {j: _square_half(j) for j in range(240)}
         count = exceptions = 0
         for s in range(2, 60):
             for l in range(240):
@@ -505,8 +505,8 @@ class TestResultantHalves:
                 if s % 2 and not l % 2 and j == s - 1:
                     sign, j = -sign, s - 2
                     exceptions += 1
-                named = ZERO if j in (s, -1) else IntPoly(sign * c for c in halves[j].coeffs)
-                assert pseudo_rem(halves[l], halves[s]) == named, (l, s)
+                named = [] if j in (s, -1) else [sign * c for c in halves[j]]
+                assert dense_rem(halves[l], halves[s]) == named, (l, s)
                 count += 1
         assert (count, exceptions) == (12_122, 360)
 
@@ -1002,12 +1002,14 @@ class TestIdentitySuite:
 
     def test_power_is_the_full_power_reduced(self):
         """_path_power multiplies and reduces one factor at a time; the old
-        route, the full power reduced once, is the oracle."""
+        route, the full power reduced once by the dense oracle, is the
+        reference."""
         _path_power.cache_clear()
         for k in range(1, 42):
             for a in EXPONENTS:
-                full = pseudo_rem(repeated_power(path_charpoly(k), a), path_charpoly(k - 1))
-                assert _path_power(k, a) == full.coeffs, (k, a)
+                power = repeated_power(path_charpoly(k), a).coeffs
+                full = dense_rem(power, path_charpoly(k - 1).coeffs)
+                assert _path_power(k, a) == tuple(full), (k, a)
 
     def test_reports_repeat_in_one_process_and_after_every_cache_is_cleared(
         self, monkeypatch

@@ -19,6 +19,7 @@ from _oracles import (
     charpoly_by_cofactor,
     convolve,
     dense_prem,
+    dense_rem,
     parity,
     recurrence_charpoly,
     recurrence_charpolys,
@@ -32,7 +33,6 @@ from boxdet.polynomials import (
     _rem,
     path_charpoly,
     poly_to_json,
-    pseudo_rem,
     resultant,
 )
 
@@ -223,74 +223,6 @@ class TestParity:
         assert parity(ZERO) == Parity.EVEN
 
 
-def _divide_exactly(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Schoolbook long division for unit-lc divisors, built only from the
-    oracle's ring operations so it is independent of pseudo_rem."""
-    quotient, rest = ZERO, num
-    while not rest.is_zero and rest.degree >= den.degree:
-        step = IntPoly(
-            (0,) * int(rest.degree - den.degree)
-            + (rest.leading_coefficient * den.leading_coefficient,)
-        )
-        quotient = add(quotient, step)
-        rest = sub(rest, convolve(step, den))
-    return quotient, rest
-
-
-class TestPseudoRem:
-    def test_examples(self):
-        minus_x, x2_minus_1 = IntPoly((0, -1)), IntPoly((-1, 0, 1))
-        # x^2 = (-x)(-x) + 0
-        assert pseudo_rem(IntPoly((0, 0, 1)), minus_x).is_zero
-        assert pseudo_rem(X, minus_x).is_zero
-        # q_3 = -x(x^2 - 2) is a multiple of q_1 = -x
-        assert pseudo_rem(path_charpoly(3), path_charpoly(1)).is_zero
-        # self-division
-        assert pseudo_rem(x2_minus_1, x2_minus_1).is_zero
-        # x^3 + 1 mod x^2 - 1: quotient x, remainder x + 1
-        assert pseudo_rem(IntPoly((1, 0, 0, 1)), x2_minus_1) == IntPoly((1, 1))
-        # degree of a below degree of b: a comes back unchanged
-        assert pseudo_rem(IntPoly((5, 1)), x2_minus_1) == IntPoly((5, 1))
-
-    def test_difference_is_divisible_by_the_divisor(self):
-        """Spot-check a - r against an independent long division: the
-        difference must divide exactly by b with zero residue."""
-        rng = random.Random(1234)
-        for divisor_size in range(1, 11):
-            b = path_charpoly(divisor_size)
-            for _ in range(5):
-                a = IntPoly(
-                    tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 21)))
-                )
-                r = pseudo_rem(a, b)
-                assert r.is_zero or r.degree < b.degree
-                quotient, residue = _divide_exactly(sub(a, r), b)
-                assert residue.is_zero
-                assert convolve(quotient, b) == sub(a, r)
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            pseudo_rem(X, ZERO)
-
-    def test_non_unit_leading_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_rem(IntPoly((0, 0, 1)), IntPoly((1, 2)))  # x^2 by 2x + 1
-
-    @given(
-        st.lists(st.integers(-9, 9), max_size=5),
-        st.lists(st.integers(-9, 9), min_size=0, max_size=3),
-        st.integers(1, 4),
-        st.sampled_from([1, -1]),
-    )
-    def test_reconstruction(self, q_coeffs, r_coeffs, b_degree, b_lead):
-        """Build a = q*b + r with deg r < deg b and unit lc(b); the division
-        must hand back exactly r."""
-        b = add(IntPoly(tuple(r_coeffs[:b_degree])), IntPoly((0,) * b_degree + (b_lead,)))
-        q = IntPoly(tuple(q_coeffs))
-        r = IntPoly(tuple(r_coeffs[: b_degree]))
-        assert pseudo_rem(add(convolve(q, b), r), b) == r
-
-
 coefficients = st.integers(-30, 30)
 # Nonzero, of degree at most 4, with leads of every size up to 3.
 generic_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(
@@ -298,14 +230,45 @@ generic_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(
 ).filter(lambda p: not p.is_zero)
 
 
-def dense_rem(a: list[int], b: list[int]) -> list[int]:
-    """a mod b for a unit lc(b): the dense pseudo-remainder, scaled by
-    lc(b)**steps again, which undoes the scaling."""
-    scale = b[-1] ** (len(a) - len(b) + 1)
-    return [c * scale for c in dense_prem(a, b)]
-
-
 class TestWindowedPrem:
+    def test_examples(self):
+        """Worked divisions, each of a list and of a tuple: a dividend
+        shorter than the divisor comes back unchanged."""
+        x2_minus_1, q_3 = (-1, 0, 1), path_charpoly(3).coeffs
+        cases = (
+            ((0, 0, 1), (0, -1), []),  # x^2 = (-x)(-x)
+            ((0, 1), (0, -1), []),
+            (q_3, path_charpoly(1).coeffs, []),  # q_3 = -x(x^2 - 2), q_1 = -x
+            (x2_minus_1, x2_minus_1, []),
+            ((1, 0, 0, 1), x2_minus_1, [1, 1]),  # x^3 + 1 = x(x^2 - 1) + x + 1
+            ((5, 1), x2_minus_1, [5, 1]),
+            ((5, 1, 0), x2_minus_1, [5, 1]),
+            ((), x2_minus_1, []),
+        )
+        for a, b, r in cases:
+            assert _rem(list(a), list(b)) == _rem(a, b) == r, (a, b)
+
+    @given(
+        st.lists(coefficients, max_size=5),
+        st.lists(coefficients, max_size=4),
+        st.lists(coefficients, max_size=4),
+        st.sampled_from([1, -1]),
+    )
+    @example([], [5, 1], [0, 0], 1)  # a = r, shorter than b
+    @example([2, 0, 3], [1, 2, 3], [4, 0, 9], -1)
+    def test_reconstruction(self, q, r, b_low, b_lead):
+        """Build a = q*b + r with deg r < deg b and a unit lead in b; the
+        division hands back exactly r, by a list divisor and by a tuple."""
+        b = b_low + [b_lead]
+        rest = IntPoly(r[: len(b_low)])
+        a = list(add(convolve(IntPoly(q), IntPoly(b)), rest).coeffs)
+        assert _rem(a, b) == _rem(tuple(a), tuple(b)) == list(rest.coeffs)
+
+    def test_non_unit_leading_coefficient_rejected(self):
+        for b in ([1, 2], (1, 2)):  # x^2 by 2x + 1
+            with pytest.raises(ValueError, match="got 2"):
+                _rem([0, 0, 1], b)
+
     @given(
         st.lists(coefficients, max_size=6),
         st.sampled_from([1, -1]),
