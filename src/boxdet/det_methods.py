@@ -20,8 +20,13 @@ The routes, for the grid graph P_n box P_m:
   interval matrix, so det(H)**2 is a union-find pass over its m/2 rows' runs.
 * resultant: the product of q_m over the roots of q_n, computed with no
   root ever materialized as (-1)**(n*m) * Res(q_n, q_m), using
-  lc(q_n) = (-1)**n.  Each q_k is x**(k % 2) times a polynomial in x**2,
-  so the remainder sequence runs on those half-degree polynomials.
+  lc(q_n) = (-1)**n.  Each q_k is +-x**(k % 2) times a polynomial H_k in
+  z = x**2 - 2, and H_k is a path polynomial of half the index, q_{k//2}
+  for odd k, or the difference q_{k//2} - q_{k//2-1} for even k; so the
+  remainder sequence runs on those half-degree polynomials, with about
+  half the coefficient bits of the halves in x**2, and q_n and q_m are
+  never built.  When one of n and m is odd, the sign is q_k(0) for the
+  other, even, index k, which is +-H_k(-2).
 * closed: the gcd rule, 0 when gcd(n+1, m+1) > 1, else (-1)**(n*m/2).
 
 All "evaluate at every root of q_k" identities are checked as exact
@@ -30,6 +35,7 @@ needs no eigenvalue formula.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -238,17 +244,24 @@ def det_block(n: int, m: int, ceiling: int = DEFAULT_BLOCK_CEILING) -> int:
     return _bipartite_det(k0, k1, lambda: _runs_det_squared(block_runs(n, m), m // 2))
 
 
-def _square_half(k: int) -> tuple[int, ...]:
-    """The coefficients of F_k, with q_k(x) = x**(k % 2) * F_k(x**2), of
-    degree k // 2, read off path_charpoly(k) on every call, looked up in
-    this module so that a patched one is seen; raises if one of the other
-    parity is nonzero.  The slice shares q_k's coefficient objects and
-    copies none, and path_charpoly's cache stays the only one holding path
-    polynomials."""
-    coeffs = path_charpoly(k).coeffs
-    if any(coeffs[1 - k % 2 :: 2]):
-        raise ArithmeticError(f"q_{k} is not x**{k % 2} times a polynomial in x**2")
-    return coeffs[k % 2 :: 2]
+def _z_half(k: int) -> tuple[int, ...]:
+    """The coefficients of H_k, with q_k(x) = +-x**(k % 2) * H_k(x**2 - 2),
+    of degree j = k // 2 and led by (-1)**j: q_j for odd k, the tuple
+    path_charpoly(j) holds, and q_j - q_{j-1} for even k (q_{-1} = 0),
+    built on every call.  path_charpoly is looked up in this module, so
+    that a patched one is seen, and its cache stays the only one holding
+    path polynomials; q_k itself is never built.  Raises ArithmeticError
+    on any other degree or lead."""
+    j = k // 2
+    h = path_charpoly(j).coeffs
+    if not k % 2:
+        below = path_charpoly(j - 1).coeffs if j else ()
+        # A list first: tuple() of an iterator with no length hint resizes
+        # its guess, and CPython then strands the tuple in a free list.
+        h = tuple([a - b for a, b in itertools.zip_longest(h, below, fillvalue=0)])
+    if len(h) != j + 1 or h[-1] != (-1) ** j:
+        raise ArithmeticError(f"H_{k} is not of degree {j} led by {(-1) ** j}")
+    return h
 
 
 def det_resultant(n: int, m: int) -> int:
@@ -256,23 +269,35 @@ def det_resultant(n: int, m: int) -> int:
 
     Res(q_n, q_m) = lc(q_n)**m * prod q_m(root) and lc(q_n) = (-1)**n, so
     the determinant (the bare root product) is (-1)**(n*m) * Res(q_n, q_m).
-    The remainder sequence (``polynomials._resultant``) runs on the
-    coefficient tuples of the halves F_n, F_m of :func:`_square_half`, by
-    three facts that follow from
+    With t = x/2 and z = x**2 - 2 = 2 T_2(t), the Chebyshev compositions
+    U_{2j+1} = 2t U_j(T_2) and U_{2j} = (U_j + U_{j-1})(T_2) give
+    q_{2j+1}(x) = (-1)**(j+1) x q_j(z) and
+    q_{2j}(x) = (-1)**j (q_j - q_{j-1})(z): q_k = x**(k % 2) F_k(x**2)
+    with F_k(y) = (-1)**(j + k % 2) H_k(y - 2), j = k // 2, for the
+    half-index halves H_k of :func:`_z_half`.  Three facts follow from
     Res(f, g) = lc(f)**deg g * prod g(roots of f):
     Res(F(x**2), G(x**2)) = Res(F, G)**2, Res(x, g) = g(0) and
     Res(f, x) = (-1)**deg f * f(0).  For odd nm, x divides q_n and q_m and
     the value is 0.  Otherwise it is c * Res(F_n, F_m)**2, with c = q_m(0)
     for odd n, q_n(0) for odd m (deg q_n even), and 1 when both are even;
-    (-1)**(n*m) is then 1.  For even k, q_k(0) = F_k(0), the half's first
-    entry.
+    (-1)**(n*m) is then 1.  The shift y -> z + 2 keeps leads and degrees,
+    so Res(F_n, F_m) = +-Res(H_n, H_m), and the squares agree: the
+    remainder sequence (``polynomials._resultant``) runs on the coefficient
+    tuples of H_n and H_m.  For even k = 2j, c = q_k(0) = (-1)**j H_k(-2),
+    evaluated from the half already held.
     """
     _require_positive(n=n, m=m)
-    f, g = _square_half(n), _square_half(m)
+    f, g = _z_half(n), _z_half(m)
     if n * m % 2:
         return 0
     r = _resultant(f, g)
-    c = g[0] if n % 2 else f[0] if m % 2 else 1
+    c = 1
+    if (n + m) % 2:
+        k, h = (m, g) if n % 2 else (n, f)
+        value = 0
+        for a in reversed(h):
+            value = a - 2 * value  # Horner's rule at z = -2
+        c = (-1) ** (k // 2) * value
     return c * r * r
 
 

@@ -45,7 +45,14 @@ F_j has degree j // 2, below s // 2 unless j = s, where the remainder is
 F_{s-1} = -F_s - F_{s-2}, the recurrence at odd s, and the remainder is
 -e*F_{s-2}.  Euclid divides only by halves of positive degree, s >= 2,
 and by -F_s as by F_s, so each remainder of :func:`resultant` on two
-halves is, up to sign, a half led by +1 or -1, the next divisor.  The
+halves is, up to sign, a half led by +1 or -1, the next divisor.
+The halves the resultant method divides are these shifted, H_k(z) =
++-F_k(z + 2) in z = x**2 - 2, each a path polynomial of half the index
+(see ``det_methods``).  The shift y -> z + 2 is a ring automorphism that
+keeps degrees and leading coefficients, so F_l = Q*F_s + R shifts to
+H_l = +-Q(z + 2)*H_s +- R(z + 2) with deg R(z + 2) < deg H_s: H_l mod
+H_s is +-R(z + 2), 0 or the shift of +-F_j, that is +-H_j, and Euclid
+on two z-halves meets, up to sign, only z-halves led by +1 or -1.  The
 rule stays in documentation and tests: picking the index by it would
 compute the gcd of the indices, the closed form's route, and
 :func:`resultant` would no longer check anything independently.

@@ -11,9 +11,13 @@ The oracles share no code with the library paths they check:
   the reduced powers of the identity suite);
 * pseudo-remainders come from dense schoolbook pseudo-division that
   rescales the whole dividend at every step, and remainders by a divisor
-  led by +1 or -1 from it, the scaling undone (the check on the monic
-  remainder routine, ``polynomials._rem``, and on the remainders the
-  resultant and the identity suite's reduced powers rest on);
+  led by +1 or -1 from schoolbook long division over every coefficient of
+  the divisor, zeros included (the check on the monic remainder routine,
+  ``polynomials._rem``, and on the remainders the resultant and the
+  identity suite's reduced powers rest on);
+* a polynomial shifted to f(x + s) comes from the binomial expansion of
+  every term (the check on the half-index halves, in z = x**2 - 2, that
+  the resultant method reads off path polynomials of half the index);
 * polynomials are evaluated at a matrix by Horner's rule with plain
   list-of-rows sums and products, and q_k(-A(P_m)) also comes from the
   unfolded matrix recurrence Q_k = B Q_{k-1} - Q_{k-2} (both the check on
@@ -289,8 +293,11 @@ def recurrence_charpoly(n: int) -> IntPoly:
 def dense_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
 
-    Coefficient lists, ascending, a and b nonzero with deg a >= deg b.
+    Coefficient lists, ascending, a and b nonzero with deg a >= deg b; a
+    shorter a raises ValueError, as its factor would be a negative power.
     """
+    if len(a) < len(b):
+        raise ValueError(f"dividend degree {len(a) - 1} below divisor degree {len(b) - 1}")
     db = len(b) - 1
     lb = b[-1]
     scale = len(a) - 1 - db + 1
@@ -313,12 +320,37 @@ def dense_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def dense_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a mod b for a unit lc(b): the dense pseudo-remainder of a, padded
-    with zeros to at least b's length, scaled by lc(b)**steps again, which
-    undoes the scaling.  A shorter a is its own remainder."""
-    a = list(a) + [0] * (len(b) - len(a))
-    scale = b[-1] ** (len(a) - len(b) + 1)
-    return [c * scale for c in dense_prem(a, b)]
+    """a mod b for lc(b) = +1 or -1, by schoolbook long division: each step
+    takes the top coefficient of what is left times lc(b), which is
+    1/lc(b), as the quotient term, and subtracts that term times every
+    coefficient of b, zero or not, from the positions below the top.  A
+    shorter a is its own remainder; any other lead raises ValueError."""
+    lb = b[-1]
+    if lb not in (1, -1):
+        raise ValueError(f"divisor lead must be +1 or -1, got {lb}")
+    r = list(a)
+    db = len(b) - 1
+    while len(r) > db:
+        term = r.pop() * lb
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= term * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def taylor_shift(f: Sequence[int], s: int) -> list[int]:
+    """The coefficients of f(x + s), ascending: each f_k x**k contributes
+    f_k * C(k, i) * s**(k - i) to the coefficient of every x**i, i <= k,
+    a dense double loop over binomials.  Trailing zeros are dropped."""
+    g = [0] * len(f)
+    for k, c in enumerate(f):
+        for i in range(k + 1):
+            g[i] += c * math.comb(k, i) * s ** (k - i)
+    while g and g[-1] == 0:
+        g.pop()
+    return g
 
 
 def add(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -5,7 +5,6 @@ import gc
 import inspect
 import itertools
 import math
-import operator
 import sys
 import time
 import tracemalloc
@@ -38,6 +37,7 @@ from _oracles import (
     sub,
     sylvester_matrix,
     sylvester_resultant,
+    taylor_shift,
 )
 from boxdet.det_methods import (
     DEFAULT_BLOCK_CEILING,
@@ -50,7 +50,7 @@ from boxdet.det_methods import (
     SizeLimitError,
     _path_power,
     _runs_det_squared,
-    _square_half,
+    _z_half,
     block_runs,
     check_annihilation,
     check_power,
@@ -438,7 +438,7 @@ class TestResultantHalves:
     def test_library_resultant_on_every_half_pair_up_to_24(self):
         """The inputs det_resultant hands to resultant, against the Sylvester
         oracle: every remainder of these sequences is led by +1 or -1."""
-        halves = {k: IntPoly(_square_half(k)) for k in range(1, 25)}
+        halves = {k: IntPoly(_z_half(k)) for k in range(1, 25)}
         for n, f in halves.items():
             for m, g in halves.items():
                 assert resultant(f, g) == sylvester_resultant(f, g), (n, m)
@@ -462,12 +462,13 @@ class TestResultantHalves:
                 assert degrees == ([] if n * m % 2 else [(n // 2, m // 2)]), (n, m)
 
     def test_every_remainder_is_plus_or_minus_a_path_half(self, monkeypatch):
-        """Every nonzero remainder of the sequence det_resultant runs is +F_j
-        or -F_j for some path half F_j.  A fact about path polynomials that
-        this test asserts; no code path relies on it."""
+        """Every nonzero remainder of the sequence det_resultant runs is +H_j
+        or -H_j for some half-index half H_j in z = x**2 - 2: the shift
+        y -> z + 2 carries the y-halves' fold rule over.  A fact about path
+        polynomials that this test asserts; no code path relies on it."""
         import boxdet.polynomials as polynomials
 
-        halves = {_square_half(j) for j in range(40)}
+        halves = {_z_half(j) for j in range(40)}
         halves |= {tuple(-c for c in h) for h in halves}
         rem = polynomials._rem
         seen = []
@@ -493,8 +494,10 @@ class TestResultantHalves:
         index is s or -1 (F_{-1} = 0), of either parity; but for odd s, even
         l and index s - 1, it is the opposite sign times F_{s-2}: the rule
         argued in the polynomials module from the shift identity and the
-        period 2(s+1).  Asserted here only; no code path picks the index."""
-        halves = {j: _square_half(j) for j in range(240)}
+        period 2(s+1).  Asserted here only; no code path picks the index.
+        The y-halves F_j, with q_j(x) = x**(j % 2) F_j(x**2), are sliced off
+        q_j here; det_resultant runs on their shifts (the z-halves)."""
+        halves = {j: path_charpoly(j).coeffs[j % 2 :: 2] for j in range(240)}
         count = exceptions = 0
         for s in range(2, 60):
             for l in range(240):
@@ -543,24 +546,40 @@ class TestResultantHalves:
         assert count == 2_581
 
     def test_rejects_a_coefficient_of_the_other_parity(self, monkeypatch):
-        """Also when both q_k are already cached: _square_half reads
-        path_charpoly through det_methods on every call, so a patched one
-        is seen, and the unpatched one again once it is back."""
+        """A fault in path_charpoly that breaks a half's degree or its +-1
+        lead raises ArithmeticError: x added to every q_k leaves q_1 + x = 0,
+        so H_2 = q_1 - q_0 and H_3 = q_1 lose their degree, and x**2 added
+        to q_2 alone leads H_4 and H_5 by 2.  One that keeps both, x added
+        to q_2 alone, changes the value, so the methods disagree.  Also when
+        the q_k are already cached: _z_half reads path_charpoly through
+        det_methods on every call, so a patched one is seen, and the
+        unpatched one again once it is back."""
         import boxdet.det_methods as dm
 
-        f, g = _square_half(4), _square_half(3)
+        def at_two(term):
+            return lambda k: add(path_charpoly(k), term) if k == 2 else path_charpoly(k)
+
+        halves = [_z_half(k) for k in range(1, 7)]
+        for fault in (lambda k: add(path_charpoly(k), X), at_two(IntPoly((0, 0, 1)))):
+            with monkeypatch.context() as patch:
+                patch.setattr(dm, "path_charpoly", fault)
+                with pytest.raises(ArithmeticError):
+                    det_resultant(4, 3)
         with monkeypatch.context() as patch:
-            patch.setattr(dm, "path_charpoly", lambda k: add(path_charpoly(k), X))
-            with pytest.raises(ArithmeticError):
-                det_resultant(4, 3)
-        assert _square_half(4) == f and _square_half(3) == g
+            patch.setattr(dm, "path_charpoly", at_two(X))
+            assert _z_half(4) != halves[3] and len(_z_half(4)) == 3
+            report = verify_all(3, 4)
+            assert not report.agree and report.resultant == -report.direct
+        assert [_z_half(k) for k in range(1, 7)] == halves
+        assert verify_all(3, 4).agree
 
     def test_halves_keep_no_path_polynomial_alive(self):
-        """After det_resultant reads 256 halves and path_charpoly then
-        computes 256 other q_k, the memory still held is that of the q_k in
-        path_charpoly's cache, its only store of path polynomials, with
-        room for the cache's own bookkeeping.  A half is a slice of q_k's
-        coefficient tuple."""
+        """After det_resultant builds 256 even halves H_k off 257 q_j and
+        path_charpoly then computes 256 other q_k, the memory still held is
+        that of the q_k in path_charpoly's cache, its only store of path
+        polynomials, with room for the cache's own bookkeeping.  An even
+        half is built for its call and dropped with it, and an odd half is
+        q_{k//2}'s own coefficient tuple."""
 
         def size(q):
             # A zero coefficient is the one shared 0 object.
@@ -571,8 +590,8 @@ class TestResultantHalves:
         path_charpoly.cache_clear()
         tracemalloc.start()
         try:
-            for k in range(256, 512):
-                det_resultant(2, k)
+            for k in range(512, 1024, 2):
+                det_resultant(3, k)
             for k in range(256):
                 path_charpoly(k)
             gc.collect()
@@ -581,8 +600,36 @@ class TestResultantHalves:
             tracemalloc.stop()
         assert path_charpoly.cache_info().currsize == 256
         assert held <= 1.2 * sum(size(path_charpoly(k)) for k in range(256))
-        half = _square_half(300)
-        assert all(map(operator.is_, half, path_charpoly(300).coeffs[::2]))
+        assert _z_half(301) is path_charpoly(150).coeffs
+        assert _z_half(300) == _z_half(300) and _z_half(300) is not _z_half(300)
+
+    def test_half_is_the_shifted_half_in_x_squared_up_to_300(self):
+        """H_k(z) = e F_k(z + 2) for every k <= 300, with the sign
+        e = (-1)**(k // 2 + k % 2) of q_k = e x**(k % 2) H_k(x**2 - 2) and
+        F_k the half in y = x**2 that the slice of q_k gives: the Chebyshev
+        compositions against the binomial expansion of the shift."""
+        for k in range(301):
+            sign = (-1) ** (k // 2 + k % 2)
+            shifted = taylor_shift(path_charpoly(k).coeffs[k % 2 :: 2], 2)
+            assert list(_z_half(k)) == [sign * c for c in shifted], k
+
+    def test_reads_path_polynomials_of_half_the_index_only(self, monkeypatch):
+        """det_resultant(n, m) asks path_charpoly for no index above
+        max(n, m) // 2, so q_n and q_m themselves are never built."""
+        import boxdet.det_methods as dm
+
+        seen = []
+
+        def spy(k):
+            seen.append(k)
+            return path_charpoly(k)
+
+        monkeypatch.setattr(dm, "path_charpoly", spy)
+        shapes = [(n, m) for n in range(1, 41) for m in range(1, 41)]
+        for n, m in [*shapes, (1, 3000), (3000, 2999), (1500, 1001)]:
+            seen.clear()
+            assert det_resultant(n, m) == det_closed_form(n, m), (n, m)
+            assert seen and max(seen) <= max(n, m) // 2, (n, m)
 
     @given(small_int_polys, small_int_polys)
     def test_resultant_of_polynomials_in_x_squared(self, f, g):

@@ -25,6 +25,7 @@ from _oracles import (
     recurrence_charpolys,
     sub,
     sylvester_resultant,
+    taylor_shift,
 )
 from boxdet.polynomials import (
     NEG_INFINITY,
@@ -169,6 +170,12 @@ class TestProducts:
         plus_or_minus = add if scale == 1 else sub
         assert IntPoly(r) == plus_or_minus(before, convolve(p, q))
 
+    @given(small_polys, st.integers(-3, 3), st.integers(-4, 4))
+    @example(path_charpoly(6), 2, -2)
+    def test_taylor_shift_oracle_evaluates_at_the_shifted_point(self, p, s, x):
+        """The oracle for the resultant's half-index halves: f(x + s)."""
+        assert evaluate(IntPoly(taylor_shift(p.coeffs, s)), x) == evaluate(p, x + s)
+
 
 class TestPathCharpoly:
     def test_frozen_small_cases(self):
@@ -264,6 +271,18 @@ class TestWindowedPrem:
         a = list(add(convolve(IntPoly(q), IntPoly(b)), rest).coeffs)
         assert _rem(a, b) == _rem(tuple(a), tuple(b)) == list(rest.coeffs)
 
+    def test_dense_oracles_reject_what_they_cannot_divide(self):
+        """dense_prem needs deg a >= deg b, as its factor
+        lc(b)**(deg a - deg b + 1) would otherwise be a negative power, and
+        dense_rem a unit lead; a shorter dividend is dense_rem's own
+        remainder."""
+        for a in ([5], [], [5, 1]):
+            with pytest.raises(ValueError):
+                dense_prem(a, [1, 0, -1])
+            assert dense_rem(a, [1, 0, -1]) == a
+        with pytest.raises(ValueError):
+            dense_rem([0, 0, 1], [1, 2])
+
     def test_non_unit_leading_coefficient_rejected(self):
         for b in ([1, 2], (1, 2)):  # x^2 by 2x + 1
             with pytest.raises(ValueError, match="got 2"):
@@ -285,6 +304,9 @@ class TestWindowedPrem:
         zero_top zero coefficients on top, which still count as steps."""
         b = b_low + [b_lead]
         a = a_low + [0] * (len(b) - len(a_low)) + [0] * zero_top
+        # The two dense oracles agree: pseudo-division's lc(b)**steps undone.
+        scale = b_lead ** (len(a) - len(b) + 1)
+        assert dense_rem(a, b) == [c * scale for c in dense_prem(a, b)]
         assert _rem(a, b) == dense_rem(a, b)
         # As a tuple, b is prepared on the first call and kept for the second.
         divisor = tuple(b)
