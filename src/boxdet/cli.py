@@ -13,8 +13,9 @@ Subcommands:
 full before any disagreement is detailed on stderr.
 
 Exit status: 0 on success with full agreement, 1 when methods disagree or an
-identity check fails, 2 for usage errors.  Every command runs in the
-calling thread, so output order is the order of the work.
+identity check fails, 2 for usage errors, 141 when the reader closes stdout
+before all output is written.  Every command runs in the calling thread, so
+output order is the order of the work.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections.abc import Collection, Iterator
 from functools import lru_cache
@@ -335,7 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): fd 1 goes to devnull, so the
+        # final flush stays quiet, and the status is a shell's for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
 
 
 if __name__ == "__main__":

@@ -25,8 +25,10 @@ The routes, for the grid graph P_n box P_m:
   for odd k, or the difference q_{k//2} - q_{k//2-1} for even k; so the
   remainder sequence runs on those half-degree polynomials, with about
   half the coefficient bits of the halves in x**2, and q_n and q_m are
-  never built.  When one of n and m is odd, the sign is q_k(0) for the
-  other, even, index k, which is +-H_k(-2).
+  never built.  The sign and the 0 for odd nm are direct's two-block
+  rule, as for block: q_k(0) = -q_{k-2}(0) gives q_k(0) = (-1)**(k/2)
+  for even k, so the constant q_k(0) of the even side, when the other is
+  odd, is (-1)**(n*m/2).
 * closed: the gcd rule, 0 when gcd(n+1, m+1) > 1, else (-1)**(n*m/2).
 
 All "evaluate at every root of q_k" identities are checked as exact
@@ -280,25 +282,18 @@ def det_resultant(n: int, m: int) -> int:
     Res(f, x) = (-1)**deg f * f(0).  For odd nm, x divides q_n and q_m and
     the value is 0.  Otherwise it is c * Res(F_n, F_m)**2, with c = q_m(0)
     for odd n, q_n(0) for odd m (deg q_n even), and 1 when both are even;
-    (-1)**(n*m) is then 1.  The shift y -> z + 2 keeps leads and degrees,
-    so Res(F_n, F_m) = +-Res(H_n, H_m), and the squares agree: the
-    remainder sequence (``polynomials._resultant``) runs on the coefficient
-    tuples of H_n and H_m.  For even k = 2j, c = q_k(0) = (-1)**j H_k(-2),
-    evaluated from the half already held.
+    (-1)**(n*m) is then 1.  From q_k = -x q_{k-1} - q_{k-2},
+    q_k(0) = -q_{k-2}(0), so q_k(0) = (-1)**(k/2) for even k, and c is
+    (-1)**(n*m/2) in all three cases: the two-block rule of
+    :func:`_bipartite_det` for colour classes of nm/2 vertices, whose
+    unequal classes for odd nm give the 0.  The shift y -> z + 2 keeps
+    leads and degrees, so Res(F_n, F_m) = +-Res(H_n, H_m), and the squares
+    agree: the remainder sequence (``polynomials._resultant``) runs on the
+    coefficient tuples of H_n and H_m, built and checked on every call.
     """
     _require_positive(n=n, m=m)
     f, g = _z_half(n), _z_half(m)
-    if n * m % 2:
-        return 0
-    r = _resultant(f, g)
-    c = 1
-    if (n + m) % 2:
-        k, h = (m, g) if n % 2 else (n, f)
-        value = 0
-        for a in reversed(h):
-            value = a - 2 * value  # Horner's rule at z = -2
-        c = (-1) ** (k // 2) * value
-    return c * r * r
+    return _bipartite_det((n * m + 1) // 2, n * m // 2, lambda: _resultant(f, g) ** 2)
 
 
 def det_closed_form(n: int, m: int) -> int:

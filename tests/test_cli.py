@@ -440,6 +440,23 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "n,m,gcd,det,methods_agree\n2,3,1,-1,true\n"
 
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that closes stdout early, as ``| head -1`` does, is no
+        bug alarm: no traceback and exit 141 (128 + SIGPIPE), not 1.  The
+        sweep prints about 150 KB, more than a pipe buffer holds, so the
+        child is still writing when the pipe closes."""
+        argv = ["sweep", "--max-n", "100", "--max-m", "100", "--methods", "closed"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boxdet", *argv, "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "n,m,gcd,det,methods_agree\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, "")
+
     def test_reused_parser_matches_a_fresh_process(self, capsys):
         """main reuses one parser per process; after a run with --methods and
         a usage error, det and bench print what a fresh process prints."""

@@ -550,8 +550,10 @@ class TestResultantHalves:
         lead raises ArithmeticError: x added to every q_k leaves q_1 + x = 0,
         so H_2 = q_1 - q_0 and H_3 = q_1 lose their degree, and x**2 added
         to q_2 alone leads H_4 and H_5 by 2.  One that keeps both, x added
-        to q_2 alone, changes the value, so the methods disagree.  Also when
-        the q_k are already cached: _z_half reads path_charpoly through
+        to q_2 alone, makes Res(H_2, H_4) +-2, so at (2, 4) resultant reads
+        4 where direct reads 1; at (3, 4) it still reads 1, its sign being
+        the two-block rule's and Res(H_3, H_4)**2 still 1.  Also when the
+        q_k are already cached: _z_half reads path_charpoly through
         det_methods on every call, so a patched one is seen, and the
         unpatched one again once it is back."""
         import boxdet.det_methods as dm
@@ -568,10 +570,10 @@ class TestResultantHalves:
         with monkeypatch.context() as patch:
             patch.setattr(dm, "path_charpoly", at_two(X))
             assert _z_half(4) != halves[3] and len(_z_half(4)) == 3
-            report = verify_all(3, 4)
-            assert not report.agree and report.resultant == -report.direct
+            report = verify_all(2, 4)
+            assert not report.agree and (report.resultant, report.direct) == (4, 1)
         assert [_z_half(k) for k in range(1, 7)] == halves
-        assert verify_all(3, 4).agree
+        assert verify_all(2, 4).agree
 
     def test_halves_keep_no_path_polynomial_alive(self):
         """After det_resultant builds 256 even halves H_k off 257 q_j and
@@ -626,7 +628,12 @@ class TestResultantHalves:
 
         monkeypatch.setattr(dm, "path_charpoly", spy)
         shapes = [(n, m) for n in range(1, 41) for m in range(1, 41)]
-        for n, m in [*shapes, (1, 3000), (3000, 2999), (1500, 1001)]:
+        long_shapes = [
+            (1, 3000), (3000, 2999), (1500, 1001),
+            # Determinant -1.
+            (1, 2998), (3, 2998), (2998, 1497),
+        ]
+        for n, m in [*shapes, *long_shapes]:
             seen.clear()
             assert det_resultant(n, m) == det_closed_form(n, m), (n, m)
             assert seen and max(seen) <= max(n, m) // 2, (n, m)
